@@ -11,6 +11,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
+from repro.backends.generated import without
+
 # --- opcodes ---------------------------------------------------------------
 
 CONST = "CONST"        # operand: value           push constant
@@ -138,6 +140,12 @@ class CompiledFunction:
     returns_value: bool
     is_constructor: bool = False
     class_name: str = ""
+
+    def __getstate__(self):
+        # The generated Python the interpreter caches on first call
+        # (repro.backends.bytecode.translate) is derived state: it never
+        # travels with a pickled artifact payload or checkpoint.
+        return without(self.__dict__, "_runner")
 
     def disassemble(self) -> str:
         lines = [f".method {self.qualified_name} "

@@ -19,6 +19,13 @@ _INT_HALF = 1 << 31
 _LONG_SPAN = 1 << 64
 _LONG_HALF = 1 << 63
 
+#: ``(half, mask)`` per integer type, for code generated with the wrap
+#: inline: ``((v + half) & mask) - half`` equals wrap_int/wrap_long(v).
+WRAP_CONSTANTS = {
+    "int": (_INT_HALF, _INT_SPAN - 1),
+    "long": (_LONG_HALF, _LONG_SPAN - 1),
+}
+
 
 def wrap_int(value: int) -> int:
     value &= _INT_SPAN - 1
@@ -76,16 +83,10 @@ def apply_binary(op: str, left, right, typename: str):
     elif op == ">>":
         return _wrap(left >> (right & (63 if typename == "long" else 31)), typename)
     elif op == "&":
-        if isinstance(left, Bit):
-            return left & right
         return left & right
     elif op == "|":
-        if isinstance(left, Bit):
-            return left | right
         return left | right
     elif op == "^":
-        if isinstance(left, Bit):
-            return left ^ right
         return left ^ right
     elif op == "==":
         return left == right

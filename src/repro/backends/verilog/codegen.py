@@ -14,7 +14,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.backends.bytecode.ops import wrap_int, wrap_long
+from repro.backends.bytecode.ops import WRAP_CONSTANTS, java_idiv, java_irem
+from repro.backends.generated import build_function, cached, without
 from repro.devices.fpga.rtl import Netlist
 from repro.devices.fpga.synthesis import SynthesisReport, estimate, width_of
 from repro.errors import BackendError
@@ -90,105 +91,126 @@ def _verilog_const(expr: ir.EConst) -> str:
 # ---------------------------------------------------------------------------
 
 
-def eval_datapath(expr: ir.IRExpr, env: dict):
-    """Evaluate the DAG over Python ints (bits/booleans as 0/1,
-    enums as ordinals)."""
-    if isinstance(expr, ir.EConst):
-        value = expr.value
-        if isinstance(value, Bit):
-            return int(value)
-        if isinstance(value, EnumValue):
-            return value.ordinal
-        if isinstance(value, bool):
-            return int(value)
-        return value
-    if isinstance(expr, ir.ELocal):
-        return env[expr.name]
+def _children(expr: ir.IRExpr) -> list:
     if isinstance(expr, ir.EBinary):
-        left = eval_datapath(expr.left, env)
-        right = eval_datapath(expr.right, env)
-        return _eval_binop(expr.op, left, right, expr.type)
-    if isinstance(expr, ir.EUnary):
-        operand = eval_datapath(expr.operand, env)
-        if expr.op == "-":
-            return _wrap_arith(-operand, expr.type)
-        if expr.op == "!":
-            return 1 - (1 if operand else 0)
-        if expr.op == "~":
-            if expr.type == ty.BIT or expr.type == ty.BOOLEAN:
-                return operand ^ 1
-            return _wrap_arith(~operand, expr.type)
+        return [expr.left, expr.right]
+    if isinstance(expr, (ir.EUnary, ir.ECast)):
+        return [expr.operand]
     if isinstance(expr, ir.ETernary):
-        cond = eval_datapath(expr.cond, env)
-        branch = expr.then if cond else expr.other
-        return eval_datapath(branch, env)
-    if isinstance(expr, ir.ECast):
-        value = eval_datapath(expr.operand, env)
-        if expr.type == ty.BIT or expr.type == ty.BOOLEAN:
-            return value & 1
-        return _wrap_arith(int(value), expr.type)
+        return [expr.cond, expr.then, expr.other]
     if isinstance(expr, ir.EIntrinsic) and expr.name == "bit.~":
-        return eval_datapath(expr.args[0], env) ^ 1
+        return [expr.args[0]]
+    return []
+
+
+def _const_int(value) -> int:
+    if isinstance(value, EnumValue):
+        return value.ordinal
+    return int(value)  # Bit, bool and int
+
+
+def _wrap(text: str, type_) -> str:
+    """Wrap an arithmetic result to the width of ``type_``."""
+    if type_ in (ty.BIT, ty.BOOLEAN):
+        return f"({text}) & 1"
+    half, mask = WRAP_CONSTANTS["long" if type_ == ty.LONG else "int"]
+    return f"((({text}) + {half}) & {mask}) - {half}"
+
+
+_COMPARE = ("==", "!=", "<", ">", "<=", ">=")
+
+
+def _node_text(expr: ir.IRExpr, args: list) -> str:
+    """Python for one DAG node over its operands' variable names."""
+    if isinstance(expr, ir.EBinary):
+        op, (left, right) = expr.op, args
+        if op in ("+", "-", "*"):
+            return _wrap(f"{left} {op} {right}", expr.type)
+        if op in ("/", "%"):
+            # Hardware divider: a zero divisor yields 0 (we define it).
+            helper = "_idiv" if op == "/" else "_irem"
+            return _wrap(f"{helper}({left}, {right}) if {right} else 0",
+                         expr.type)
+        if op in ("<<", ">>"):
+            return _wrap(f"{left} {op} ({right} & 63)", expr.type)
+        if op in ("&", "|", "^"):
+            return f"{left} {op} {right}"
+        if op in _COMPARE:
+            return f"1 if {left} {op} {right} else 0"
+        if op == "&&":
+            return f"1 if {left} and {right} else 0"
+        if op == "||":
+            return f"1 if {left} or {right} else 0"
+        raise BackendError(f"unknown operator {op}")
+    if isinstance(expr, ir.EUnary):
+        (operand,) = args
+        if expr.op == "-":
+            return _wrap(f"-{operand}", expr.type)
+        if expr.op == "!":
+            return f"0 if {operand} else 1"
+        if expr.op == "~":
+            if expr.type in (ty.BIT, ty.BOOLEAN):
+                return f"{operand} ^ 1"
+            return _wrap(f"~{operand}", expr.type)
+    if isinstance(expr, ir.ETernary):
+        cond, then, other = args
+        return f"{then} if {cond} else {other}"
+    if isinstance(expr, ir.ECast):
+        (operand,) = args
+        if expr.type in (ty.BIT, ty.BOOLEAN):
+            return f"{operand} & 1"
+        return _wrap(operand, expr.type)
+    if isinstance(expr, ir.EIntrinsic) and expr.name == "bit.~":
+        return f"{args[0]} ^ 1"
     raise BackendError(f"cannot evaluate {type(expr).__name__}")
 
 
-def _wrap_arith(value: int, type_):
-    if type_ == ty.LONG:
-        return wrap_long(value)
-    if type_ in (ty.BIT, ty.BOOLEAN):
-        return value & 1
-    return wrap_int(value)
+def lower_datapath(expr: ir.IRExpr, label: str = "<datapath>"):
+    """Lower a datapath DAG into one generated Python function.
 
+    The function takes ``env`` (parameter name -> Python int; bits and
+    booleans as 0/1, enums as ordinals) and returns the datapath's
+    value. Nodes are emitted in topological order and each shared node
+    is computed once, into its own local.
 
-def _eval_binop(op: str, left: int, right: int, result_type):
-    if op == "+":
-        return _wrap_arith(left + right, result_type)
-    if op == "-":
-        return _wrap_arith(left - right, result_type)
-    if op == "*":
-        return _wrap_arith(left * right, result_type)
-    if op == "/":
-        if right == 0:
-            return 0  # hardware divider: undefined; we define as 0
-        quotient = abs(left) // abs(right)
-        return _wrap_arith(
-            -quotient if (left < 0) != (right < 0) else quotient,
-            result_type,
-        )
-    if op == "%":
-        if right == 0:
-            return 0
-        remainder = abs(left) % abs(right)
-        return _wrap_arith(
-            -remainder if left < 0 else remainder, result_type
-        )
-    if op == "<<":
-        return _wrap_arith(left << (right & 63), result_type)
-    if op == ">>":
-        return _wrap_arith(left >> (right & 63), result_type)
-    if op == "&":
-        return left & right
-    if op == "|":
-        return left | right
-    if op == "^":
-        return left ^ right
-    if op == "==":
-        return int(left == right)
-    if op == "!=":
-        return int(left != right)
-    if op == "<":
-        return int(left < right)
-    if op == ">":
-        return int(left > right)
-    if op == "<=":
-        return int(left <= right)
-    if op == ">=":
-        return int(left >= right)
-    if op == "&&":
-        return int(bool(left) and bool(right))
-    if op == "||":
-        return int(bool(left) or bool(right))
-    raise BackendError(f"unknown operator {op}")
+    Both arms of a ternary are computed before it selects one. That is
+    safe because every node is total over Python ints: arithmetic never
+    overflows before it is wrapped, shift amounts are masked to 0..63,
+    division and remainder by zero yield 0, and node kinds or operators
+    the simulator cannot evaluate are rejected here, while lowering."""
+    names: dict = {}    # id(node) -> variable or literal text
+    params: dict = {}   # parameter name -> variable
+    lines: list = []
+    pending = [(expr, False)]
+    while pending:
+        node, expanded = pending.pop()
+        if id(node) in names:
+            continue
+        if isinstance(node, ir.EConst):
+            names[id(node)] = repr(_const_int(node.value))
+            continue
+        if isinstance(node, ir.ELocal):
+            if node.name not in params:
+                params[node.name] = f"p{len(params)}"
+            names[id(node)] = params[node.name]
+            continue
+        children = _children(node)
+        if not expanded:
+            pending.append((node, True))
+            pending.extend((child, False) for child in reversed(children))
+            continue
+        variable = f"v{len(lines)}"
+        args = [names[id(child)] for child in children]
+        lines.append(f"    {variable} = {_node_text(node, args)}")
+        names[id(node)] = variable
+    source = "\n".join(
+        ["def datapath(env):"]
+        + [f"    {var} = env[{name!r}]" for name, var in params.items()]
+        + lines
+        + [f"    return {names[id(expr)]}"]
+    ) + "\n"
+    namespace = {"_idiv": java_idiv, "_irem": java_irem}
+    return build_function(source, "datapath", label, namespace)
 
 
 # ---------------------------------------------------------------------------
@@ -255,6 +277,20 @@ class FPGAModuleBundle:
                 raw -= 1 << width
         return raw
 
+    def __getstate__(self):
+        # The lowered datapath function is derived state: it never
+        # travels with a pickled artifact payload.
+        return without(self.__dict__, "_datapath_fn")
+
+    def compute(self, raw: int) -> int:
+        """The datapath's value for one raw input word, through the
+        bundle's lowered datapath function (built once, on first use)."""
+        fn = cached(
+            self, "_datapath_fn",
+            lambda b: lower_datapath(b.datapath, f"<datapath {b.name}>"),
+        )
+        return fn({self.param_name: self._decode_input(raw)})
+
     # -- elaboration ------------------------------------------------------
 
     def elaborate(self) -> Netlist:
@@ -303,14 +339,10 @@ class FPGAModuleBundle:
             net.assign(
                 "can_issue", issue, ["fifo_valid"] + busy_signals
             )
-        datapath_expr = self.datapath
-        param = self.param_name
-
-        def run_datapath(e):
-            value = self._decode_input(e["read_data"])
-            return eval_datapath(datapath_expr, {param: value})
-
-        net.assign("datapath", run_datapath, ["read_data"])
+        compute = self.compute
+        net.assign(
+            "datapath", lambda e: compute(e["read_data"]), ["read_data"]
+        )
         net.assign(
             "inAccept",
             lambda e: (1 - e["fifo_valid"]) | e["can_issue"],

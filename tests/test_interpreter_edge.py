@@ -3,11 +3,11 @@ strings, longs, nesting, and value-class behaviours."""
 
 import pytest
 
-from repro.backends.bytecode import Interpreter, compile_module
+from repro.backends.bytecode import Interpreter, compile_module, isa
 from repro.errors import DeviceError
 from repro.ir import build_ir
 from repro.lime import analyze
-from repro.values import Bit, EnumValue
+from repro.values import KIND_INT, Bit, EnumValue, ValueArray
 
 
 def run(source, method, args):
@@ -247,3 +247,176 @@ class TestErrorsAtRuntime:
         source = "class T { static int m(int a, int b) { return a % b; } }"
         assert run(source, "T.m", [-7, 3]) == -1
         assert run(source, "T.m", [7, -3]) == 1
+
+
+def interp_for(source, **kwargs):
+    return Interpreter(compile_module(build_ir(analyze(source))), **kwargs)
+
+
+def ops_of(interp, method):
+    return [op for op, _ in interp.program.functions[method].code]
+
+
+class TestFaultMessages:
+    def test_aload_out_of_bounds(self):
+        source = "class T { static int m(int[[]] a, int i) { return a[i]; } }"
+        data = ValueArray(KIND_INT, [1, 2, 3])
+        with pytest.raises(DeviceError) as info:
+            run(source, "T.m", [data, 3])
+        assert str(info.value) == "array index 3 out of bounds (length 3)"
+        with pytest.raises(DeviceError) as info:
+            run(source, "T.m", [data, -1])
+        assert str(info.value) == "array index -1 out of bounds (length 3)"
+
+    def test_astore_out_of_bounds(self):
+        source = """
+        class T {
+            static int m(int n, int i) {
+                int[] a = new int[n];
+                a[i] = 7;
+                return a[0];
+            }
+        }
+        """
+        assert run(source, "T.m", [2, 1]) == 0
+        with pytest.raises(DeviceError) as info:
+            run(source, "T.m", [2, 2])
+        assert str(info.value) == "array index 2 out of bounds (length 2)"
+
+    def test_int_division_and_remainder_by_zero(self):
+        div = "class T { static int m(int a, int b) { return a / b; } }"
+        rem = "class T { static int m(int a, int b) { return a % b; } }"
+        with pytest.raises(DeviceError) as info:
+            run(div, "T.m", [7, 0])
+        assert str(info.value) == "integer division by zero"
+        with pytest.raises(DeviceError) as info:
+            run(rem, "T.m", [7, 0])
+        assert str(info.value) == "integer remainder by zero"
+
+    def test_map_unequal_lengths(self):
+        source = """
+        class T {
+            local static int add(int a, int b) { return a + b; }
+            local static int[[]] m(int[[]] xs, int[[]] ys) {
+                return T @ add(xs, ys);
+            }
+        }
+        """
+        xs = ValueArray(KIND_INT, [1, 2, 3])
+        ys = ValueArray(KIND_INT, [1, 2])
+        assert list(run(source, "T.m", [xs, xs])) == [2, 4, 6]
+        with pytest.raises(DeviceError) as info:
+            run(source, "T.m", [xs, ys])
+        assert str(info.value) == (
+            "mapped arguments must have equal lengths, got 3, 2"
+        )
+
+
+class TestCallDepth:
+    SOURCE = "class T { static int r(int n) { return T.r(n + 1); } }"
+
+    def test_stack_overflow_at_max_call_depth(self):
+        interp = interp_for(self.SOURCE, max_call_depth=25)
+        with pytest.raises(DeviceError) as info:
+            interp.call("T.r", [0])
+        assert str(info.value) == "stack overflow (recursion too deep)"
+        assert interp._depth == 0
+        assert interp.method_stats["T.r"][0] == 25
+
+    def test_depth_restored_after_success(self):
+        source = (
+            "class T { static int f(int n) "
+            "{ return n == 0 ? 0 : 1 + T.f(n - 1); } }"
+        )
+        interp = interp_for(source, max_call_depth=25)
+        assert interp.call("T.f", [24]) == 24
+        assert interp._depth == 0
+        with pytest.raises(DeviceError):
+            interp.call("T.f", [25])
+        assert interp._depth == 0
+
+
+class TestCycleFlushPoints:
+    def test_callee_fault_after_flushed_call(self):
+        # The caller's cycles up to and including CALL are flushed before
+        # the call; the faulting callee's own unflushed cycles are lost.
+        source = """
+        class T {
+            static int bad(int[[]] a, int i) { return a[i] * 2; }
+            static int m(int[[]] a, int i) { return T.bad(a, i + 1); }
+        }
+        """
+        interp = interp_for(source)
+        code = interp.program.functions["T.m"].code
+        call_pc = [op for op, _ in code].index(isa.CALL)
+        flushed = sum(isa.CYCLE_COST[op] for op, _ in code[: call_pc + 1])
+        with pytest.raises(DeviceError):
+            interp.call("T.m", [ValueArray(KIND_INT, [1, 2]), 1])
+        frame = 12
+        assert interp.cycles == frame + flushed + frame
+        assert interp.method_stats["T.m"] == [1, flushed + frame]
+        assert interp.method_stats["T.bad"] == [1, 0]
+
+    def test_fault_loses_unflushed_cycles(self):
+        source = "class T { static int m(int a, int b) { return a / b; } }"
+        interp = interp_for(source)
+        with pytest.raises(DeviceError):
+            interp.call("T.m", [1, 0])
+        assert interp.cycles == 12
+        assert interp.call("T.m", [6, 3]) == 2
+        assert interp.cycles == 12 + 12 + 1 + 1 + 1 + 20 + 2
+
+    def test_void_function_falls_off_its_end(self):
+        source = "class T { static void m(boolean b) { if (b) { return; } } }"
+        interp = interp_for(source)
+        code = interp.program.functions["T.m"].code
+        assert (isa.JZ, len(code)) in code
+        assert interp.call("T.m", [False]) is None
+        # frame + LOAD + JZ, charged at the fall-off.
+        assert interp.cycles == 12 + 1 + 1
+        assert interp.call("T.m", [True]) is None
+        assert interp.cycles == 14 + 12 + 1 + 1 + 2
+
+
+class TestStackAndStatics:
+    def test_dup_pop_short_circuit(self):
+        source = """
+        class T {
+            static boolean both(boolean a, boolean b) { return a && b; }
+            static boolean either(boolean a, boolean b) { return a || b; }
+        }
+        """
+        interp = interp_for(source)
+        for method in ("T.both", "T.either"):
+            assert {isa.DUP, isa.POP} <= set(ops_of(interp, method))
+        for a in (False, True):
+            for b in (False, True):
+                assert interp.call("T.both", [a, b]) == (a and b)
+                assert interp.call("T.either", [a, b]) == (a or b)
+
+    def test_discarded_call_result_pops(self):
+        source = """
+        class T {
+            static int k;
+            static int bump() { T.k = T.k + 1; return T.k; }
+            static int m() { T.bump(); T.bump(); return T.bump(); }
+        }
+        """
+        interp = interp_for(source)
+        assert isa.POP in ops_of(interp, "T.m")
+        assert interp.call("T.m", []) == 3
+
+    def test_statics_through_clinit(self):
+        source = """
+        class T {
+            static int base = 40;
+            static int next() { base = base + 2; return base; }
+        }
+        """
+        interp = interp_for(source)
+        assert isa.PUTSTATIC in ops_of(interp, "T.<clinit>")
+        assert {isa.GETSTATIC, isa.PUTSTATIC} <= set(ops_of(interp, "T.next"))
+        assert interp.call("T.next", []) == 42
+        assert interp.call("T.next", []) == 44
+        assert interp.statics[("T", "base")] == 44
+        assert interp.method_stats["T.<clinit>"][0] == 1

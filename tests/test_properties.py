@@ -106,7 +106,7 @@ class TestDatapathEquivalence:
         st.integers(-(2**20), 2**20),
     )
     def test_fpga_datapath_matches_interpreter(self, expr, a, b, c):
-        from repro.backends.verilog.codegen import eval_datapath
+        from repro.backends.verilog.codegen import lower_datapath
         from repro.backends.verilog.datapath import DatapathBuilder
         from repro.errors import ExclusionNotice
 
@@ -118,7 +118,7 @@ class TestDatapathEquivalence:
             return  # legitimately unsynthesizable shapes are skipped
         interp = Interpreter(compile_module(module))
         expected = interp.call("P.f", [a, b, c])
-        got = eval_datapath(datapath, {"a": a, "b": b, "c": c})
+        got = lower_datapath(datapath)({"a": a, "b": b, "c": c})
         assert got == expected
 
     @settings(max_examples=20, deadline=None)

@@ -5,7 +5,7 @@ import pytest
 
 from tests.lime_sources import FIGURE1
 from repro.backends.verilog import DatapathBuilder, compile_fpga
-from repro.backends.verilog.codegen import eval_datapath
+from repro.backends.verilog.codegen import lower_datapath
 from repro.devices.fpga import FPGASimulator
 from repro.errors import ExclusionNotice, SimulationError
 from repro.ir import build_ir
@@ -27,8 +27,8 @@ class TestDatapathBuilder:
         datapath, _ = datapath_for(FIGURE1, "Bitflip.flip")
         assert isinstance(datapath, ir.EIntrinsic)
         assert datapath.name == "bit.~"
-        assert eval_datapath(datapath, {"b": 0}) == 1
-        assert eval_datapath(datapath, {"b": 1}) == 0
+        assert lower_datapath(datapath)({"b": 0}) == 1
+        assert lower_datapath(datapath)({"b": 1}) == 0
 
     def test_if_conversion(self):
         source = """
@@ -41,8 +41,8 @@ class TestDatapathBuilder:
         """
         datapath, _ = datapath_for(source, "T.clamp")
         assert isinstance(datapath, ir.ETernary)
-        assert eval_datapath(datapath, {"x": 250}) == 100
-        assert eval_datapath(datapath, {"x": 42}) == 42
+        assert lower_datapath(datapath)({"x": 250}) == 100
+        assert lower_datapath(datapath)({"x": 42}) == 42
 
     def test_loop_unrolling(self):
         source = """
@@ -55,7 +55,7 @@ class TestDatapathBuilder:
         }
         """
         datapath, _ = datapath_for(source, "T.sum3")
-        assert eval_datapath(datapath, {"x": 7}) == 21
+        assert lower_datapath(datapath)({"x": 7}) == 21
 
     def test_call_inlining(self):
         source = """
@@ -65,7 +65,7 @@ class TestDatapathBuilder:
         }
         """
         datapath, _ = datapath_for(source, "T.quad")
-        assert eval_datapath(datapath, {"x": 5}) == 20
+        assert lower_datapath(datapath)({"x": 5}) == 20
 
     def test_while_excluded(self):
         source = (
@@ -113,8 +113,8 @@ class TestDatapathBuilder:
         }
         """
         datapath, _ = datapath_for(source, "T.f")
-        assert eval_datapath(datapath, {"x": 5}) == 6
-        assert eval_datapath(datapath, {"x": -5}) == 6
+        assert lower_datapath(datapath)({"x": 5}) == 6
+        assert lower_datapath(datapath)({"x": -5}) == 6
 
     def test_math_min_becomes_mux(self):
         source = (
@@ -122,8 +122,8 @@ class TestDatapathBuilder:
             "{ return Math.min(a, b); } }"
         )
         datapath, _ = datapath_for(source, "T.f")
-        assert eval_datapath(datapath, {"a": 3, "b": 9}) == 3
-        assert eval_datapath(datapath, {"a": 9, "b": 3}) == 3
+        assert lower_datapath(datapath)({"a": 3, "b": 9}) == 3
+        assert lower_datapath(datapath)({"a": 9, "b": 3}) == 3
 
 
 class TestVerilogText:
