@@ -2,7 +2,7 @@
 
 PYTHON ?= python
 
-.PHONY: test bench bench-smoke bench-gate examples trace-smoke \
+.PHONY: test bench bench-smoke bench-refresh bench-gate examples trace-smoke \
 	fault-smoke profile-smoke health-smoke harvest-smoke serve-smoke \
 	recover-smoke all clean
 
@@ -28,7 +28,14 @@ bench-smoke:
 		benchmarks/test_bench_fusion.py \
 		benchmarks/test_bench_artifact_cache.py \
 		benchmarks/test_bench_recovery.py \
-		--benchmark-disable -q
+		--benchmark-disable -q --bench-out benchmarks/out
+
+# Refresh every committed report under benchmarks/out/ (all BENCH_*.json
+# and fig4_bitflip.vcd). A plain pytest run writes them to a temporary
+# directory instead, so the test suite never rewrites tracked files.
+bench-refresh:
+	PYTHONPATH=src $(PYTHON) -m pytest benchmarks/ \
+		--benchmark-disable -q --bench-out benchmarks/out
 
 # The performance-trajectory regression gate (docs/TRAJECTORY.md):
 # compare the last two committed snapshots under benchmarks/changelogs/

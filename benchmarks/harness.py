@@ -22,13 +22,15 @@ from repro.obs.trajectory import bench_envelope, bench_metric
 from repro.runtime import Runtime, RuntimeConfig, SubstitutionPolicy
 from repro.runtime.marshaling import MarshalingBoundary
 
+#: Where reports and other benchmark artifacts are written. The pytest
+#: run points this at a fresh temporary directory unless
+#: ``--bench-out DIR`` is given (``make bench-refresh`` passes
+#: ``benchmarks/out`` to refresh the committed copies).
 OUT_DIR = os.path.join(os.path.dirname(__file__), "out")
 
 
-def write_bench_report(
-    bench: str, metrics: dict, legacy: "dict | None" = None
-) -> str:
-    """Write ``benchmarks/out/BENCH_<bench>.json`` in the shared
+def write_bench_report(bench: str, metrics: dict) -> str:
+    """Write ``BENCH_<bench>.json`` under :data:`OUT_DIR` in the shared
     ``repro.bench/1`` envelope (docs/TRAJECTORY.md) and return its
     path.
 
@@ -36,11 +38,9 @@ def write_bench_report(
     (value + unit + higher/lower direction + modeled/wall kind); the
     trajectory collector (``python -m repro bench collect``) aggregates
     these into the per-PR changelog and the regression gate judges the
-    modeled ones direction-aware. ``legacy`` keys are merged at top
-    level unchanged so pre-envelope consumers of the original three
-    reports keep working.
+    modeled ones direction-aware.
     """
-    payload = bench_envelope(bench, metrics, legacy=legacy)
+    payload = bench_envelope(bench, metrics)
     os.makedirs(OUT_DIR, exist_ok=True)
     path = os.path.join(OUT_DIR, f"BENCH_{bench}.json")
     with open(path, "w") as fh:

@@ -192,7 +192,7 @@ def test_bench_retiming_ablation(benchmark, capsys):
     """Behavioral-synthesis retiming: cutting the CRC datapath into
     register stages raises Fmax and, for long pipelined streams, cuts
     kernel time — at the cost of latency and flip-flops."""
-    from repro.compiler import CompileOptions, compile_program
+    from repro.compiler import CompileOptions, CompilerSession
 
     source = SUITE["crc8"].source
 
@@ -206,7 +206,7 @@ def test_bench_retiming_ablation(benchmark, capsys):
                 CompileOptions(fpga_pipelined=True, fpga_max_stage_depth=6),
             ),
         ):
-            compiled = compile_program(source, options=opts)
+            compiled = CompilerSession(opts).compile(source)
             (artifact,) = compiled.store.for_device("fpga")
             bundle = artifact.payload
             report = bundle.synthesis

@@ -120,17 +120,6 @@ def test_bench_artifact_cache_warm_start(benchmark, tmp_path, capsys):
                 warm_wall, unit="s", direction="lower", kind="wall"
             ),
         },
-        legacy={
-            "acceptance_speedup": ACCEPTANCE_SPEEDUP,
-            "apps": apps,
-            "totals": {
-                "modeled_cold_s": total_cold,
-                "modeled_warm_s": total_warm,
-                "modeled_speedup": speedup,
-                "cold_wall_s": cold_wall,
-                "warm_wall_s": warm_wall,
-            },
-        },
     )
 
     assert speedup >= ACCEPTANCE_SPEEDUP, (

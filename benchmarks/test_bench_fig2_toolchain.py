@@ -8,7 +8,7 @@ the IDE's per-task markers in Figure 4's top half).
 """
 
 from repro.apps import SUITE
-from repro.compiler import compile_program, compile_report
+from repro.compiler import CompilerSession, compile_report
 
 from harness import bench_metric, format_table, write_bench_report
 
@@ -16,7 +16,7 @@ from harness import bench_metric, format_table, write_bench_report
 def _suite_compile():
     results = {}
     for name, spec in SUITE.items():
-        results[name] = compile_program(spec.source, filename=name)
+        results[name] = CompilerSession().compile(spec.source, filename=name)
     return results
 
 
@@ -82,7 +82,7 @@ def test_bench_fig2_artifact_matrix(benchmark, capsys):
 
 
 def test_bench_fig2_report_renders(benchmark):
-    result = compile_program(SUITE["bitflip"].source)
+    result = CompilerSession().compile(SUITE["bitflip"].source)
     text = benchmark.pedantic(
         lambda: compile_report(result), rounds=1, iterations=1
     )

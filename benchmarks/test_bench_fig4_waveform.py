@@ -11,8 +11,8 @@ checks the waveform facts the paper narrates:
 * the module I/O "is not fully pipelined" (initiation interval 3 by
   default); the pipelined variant is the ablation.
 
-The VCD waveform is written next to this file for inspection in any
-waveform viewer.
+The VCD waveform is written to the benchmark output directory
+(``harness.OUT_DIR``) for inspection in any waveform viewer.
 """
 
 import os
@@ -24,9 +24,8 @@ from repro.compiler import CompileOptions
 from repro.devices.fpga import FPGASimulator
 from repro.values import parse_bit_literal
 
+import harness
 from harness import bench_metric, write_bench_report
-
-OUT_DIR = os.path.join(os.path.dirname(__file__), "out")
 
 # Figure 4 drives 9 input bits; we use the literal from the test deck.
 NINE_BITS = [int(b) for b in parse_bit_literal("110010111")]
@@ -62,8 +61,8 @@ def test_bench_fig4_waveform(benchmark, capsys):
     # Read + compute + publish: outReady three cycles after the FIFO.
     out_t = result.vcd.rising_edges("outReady")[0]
     assert out_t - fifo_t == 3 * 4
-    os.makedirs(OUT_DIR, exist_ok=True)
-    vcd_path = os.path.join(OUT_DIR, "fig4_bitflip.vcd")
+    os.makedirs(harness.OUT_DIR, exist_ok=True)
+    vcd_path = os.path.join(harness.OUT_DIR, "fig4_bitflip.vcd")
     with open(vcd_path, "w") as f:
         f.write(result.vcd.render())
     print(

@@ -136,4 +136,4 @@ def test_bench_fusion_speedup(benchmark, capsys):
         metrics[f"{name}.fused.device_path_s"] = bench_metric(
             entry["fused"]["device_path_s"], unit="s", direction="lower"
         )
-    write_bench_report("fusion", metrics, legacy=report)
+    write_bench_report("fusion", metrics)

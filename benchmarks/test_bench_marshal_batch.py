@@ -114,20 +114,7 @@ def test_bench_marshal_batch_throughput(benchmark, capsys):
         metrics[f"apps.{name}.batch_64_s"] = bench_metric(
             entry["batch_64_s"], unit="s", direction="lower"
         )
-    write_bench_report(
-        "marshal",
-        metrics,
-        legacy={
-            "stream": {
-                "items": STREAM_ITEMS,
-                "kind": "int",
-                "per_element_s": per_element_s,
-                "batched_s": {str(k): v for k, v in batched.items()},
-                "throughput_improvement_at_64": improvement_64,
-            },
-            "apps": apps,
-        },
-    )
+    write_bench_report("marshal", metrics)
 
     # The acceptance bar: batching must at least double the modeled
     # throughput of the per-element path on this stream.

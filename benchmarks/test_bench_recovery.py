@@ -154,12 +154,6 @@ def test_bench_recovery(benchmark, tmp_path, capsys):
                 kind="wall",
             ),
         },
-        legacy={
-            "apps": {row["app"]: row for row in rows},
-            "acceptance_overhead_pct": ACCEPTANCE_OVERHEAD_PCT,
-            "driver": driver,
-            "journal_records": snapshot.records,
-        },
     )
     with capsys.disabled():
         print(f"wrote {path}")

@@ -16,7 +16,7 @@ sys.path.insert(
     0, os.path.join(os.path.dirname(__file__), os.pardir, "src")
 )
 
-from repro.compiler import compile_program, compile_report
+from repro.compiler import CompilerSession, compile_report
 from repro.runtime import Runtime, RuntimeConfig, SubstitutionPolicy
 from repro.values import KIND_BIT, ValueArray, parse_bit_literal
 
@@ -43,7 +43,7 @@ public class Bitflip {
 
 def main() -> None:
     print("compiling Figure 1 ...")
-    compiled = compile_program(LIME_SOURCE, filename="Bitflip.lime")
+    compiled = CompilerSession().compile(LIME_SOURCE, filename="Bitflip.lime")
     print(compile_report(compiled))
     print()
 

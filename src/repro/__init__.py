@@ -7,9 +7,9 @@ simulated devices, and the co-execution runtime.
 
 Typical entry points::
 
-    from repro import compile_program, Runtime
+    from repro import CompilerSession, Runtime
 
-    result = compile_program(lime_source)
+    result = CompilerSession().compile(lime_source)
     runtime = Runtime(result)
     runtime.call("Main", "run")
 """
@@ -17,18 +17,6 @@ Typical entry points::
 from repro.errors import LiquidMetalError
 
 __version__ = "1.0.0"
-
-
-def compile_program(source, filename="<lime>", options=None, **kwargs):
-    """Compile Lime source text to a :class:`repro.compiler.CompileResult`.
-
-    Pass a :class:`repro.compiler.CompileOptions` via ``options=``;
-    legacy keyword flags still work but emit ``DeprecationWarning``.
-    Imported lazily so that ``import repro`` stays cheap.
-    """
-    from repro.compiler import compile_program as _compile
-
-    return _compile(source, filename=filename, options=options, **kwargs)
 
 
 _LAZY_ATTRS = {
@@ -74,6 +62,5 @@ __all__ = [
     "RuntimeConfig",
     "ServiceConfig",
     "Tracer",
-    "compile_program",
     "compile_report",
 ]

@@ -10,7 +10,7 @@ from dataclasses import dataclass
 from typing import Callable
 
 from repro.apps import programs, workloads
-from repro.compiler import CompileOptions, CompileResult, compile_program
+from repro.compiler import CompileOptions, CompileResult, CompilerSession
 
 
 @dataclass(frozen=True)
@@ -150,20 +150,14 @@ _COMPILE_CACHE: dict = {}
 
 
 def compile_app(
-    name: str, options: "CompileOptions | None" = None, **legacy
+    name: str, options: "CompileOptions | None" = None
 ) -> CompileResult:
-    """Compile one suite application (cached per options object).
-
-    Legacy keyword flags are folded onto :class:`CompileOptions` by
-    ``compile_program``'s deprecation shim.
-    """
-    if legacy:
-        options = (options or CompileOptions()).replace(**legacy)
+    """Compile one suite application (cached per options object)."""
     options = options or CompileOptions()
     key = (name, options)
     if key not in _COMPILE_CACHE:
-        _COMPILE_CACHE[key] = compile_program(
-            SUITE[name].source, filename=f"<{name}.lime>", options=options
+        _COMPILE_CACHE[key] = CompilerSession(options).compile(
+            SUITE[name].source, filename=f"<{name}.lime>"
         )
     return _COMPILE_CACHE[key]
 

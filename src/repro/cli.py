@@ -57,12 +57,7 @@ import os
 import sys
 
 from repro.backends.artifacts import CacheOptions
-from repro.compiler import (
-    CompileOptions,
-    CompilerSession,
-    compile_program,
-    compile_report,
-)
+from repro.compiler import CompileOptions, CompilerSession, compile_report
 from repro.errors import LiquidMetalError
 from repro.ir.fusion import FusionOptions
 
@@ -108,15 +103,13 @@ def _parse_value(text: str):
 
 def _cache_options(args) -> "CacheOptions | None":
     """The cache sub-options a command's flags describe, or None when
-    caching stays off. Uses getattr defaults so commands that predate
-    the flags keep working unchanged."""
-    cache_dir = getattr(args, "cache_dir", None)
-    if getattr(args, "no_cache", False) or not cache_dir:
+    caching stays off."""
+    if args.no_cache or not args.cache_dir:
         return None
     return CacheOptions(
-        cache_dir=cache_dir,
-        mode=getattr(args, "cache_mode", None) or "readwrite",
-        max_bytes=getattr(args, "cache_max_bytes", None),
+        cache_dir=args.cache_dir,
+        mode=args.cache_mode or "readwrite",
+        max_bytes=args.cache_max_bytes,
     )
 
 
@@ -137,26 +130,32 @@ def _options(args, tracer=None) -> CompileOptions:
     return options
 
 
-def _runtime_fusion_kwargs(args) -> dict:
-    """RuntimeConfig keyword arguments the fusion/specialization flags
-    describe. With no ``--fusion`` the runtime keeps its historical
-    default (``auto``: substitute any multi-stage artifact); ``off``
-    makes the runtime reject fused spans too, so the baseline is
-    honestly unfused; ``plan=FILE`` restricts fused substitutions to
-    the spans the replayed plan sanctions (the plan object itself rides
-    in on ``CompileResult.fusion_plan``)."""
-    kwargs = {}
-    flag = getattr(args, "fusion", None)
-    if flag is not None:
-        kwargs["fusion"] = FusionOptions.from_flag(flag).mode
-    observe = getattr(args, "specialize_after", None)
-    if observe is not None:
-        from repro.runtime import SpecializationPolicy
+def _run_config(args, **extra):
+    """The RuntimeConfig that ``--cpu-only``, ``--batch-size`` and the
+    fusion/specialization flags describe, plus ``extra`` fields. With
+    no ``--fusion`` the runtime keeps its historical default (``auto``:
+    substitute any multi-stage artifact); ``off`` makes the runtime
+    reject fused spans too, so the baseline is honestly unfused;
+    ``plan=FILE`` restricts fused substitutions to the spans the
+    replayed plan sanctions (the plan object itself rides in on
+    ``CompileResult.fusion_plan``)."""
+    from repro.runtime import (
+        RuntimeConfig,
+        SpecializationPolicy,
+        SubstitutionPolicy,
+    )
 
-        kwargs["specialize"] = SpecializationPolicy(
-            enabled=True, observe_batches=observe
+    if args.fusion is not None:
+        extra["fusion"] = FusionOptions.from_flag(args.fusion).mode
+    if args.specialize_after is not None:
+        extra["specialize"] = SpecializationPolicy(
+            enabled=True, observe_batches=args.specialize_after
         )
-    return kwargs
+    return RuntimeConfig(
+        policy=SubstitutionPolicy(use_accelerators=not args.cpu_only),
+        batch_size=args.batch_size,
+        **extra,
+    )
 
 
 def _session(args, tracer=None) -> CompilerSession:
@@ -175,18 +174,9 @@ def _cmd_compile(args) -> int:
 
 
 def _cmd_run(args) -> int:
-    from repro.runtime import Runtime, RuntimeConfig, SubstitutionPolicy
+    from repro.runtime import Runtime
 
-    compiled = _compiled(args)
-    policy = SubstitutionPolicy(use_accelerators=not args.cpu_only)
-    runtime = Runtime(
-        compiled,
-        RuntimeConfig(
-            policy=policy,
-            batch_size=args.batch_size,
-            **_runtime_fusion_kwargs(args),
-        ),
-    )
+    runtime = Runtime(_compiled(args), _run_config(args))
     values = [_parse_value(a) for a in args.args]
     outcome = runtime.run(args.entry, values)
     if outcome.output:
@@ -208,45 +198,89 @@ def _cmd_run(args) -> int:
     return 0
 
 
-def _resolve_target(args):
-    """Resolve a CLI target (suite app name or ``.lime`` file) into
-    ``(source, filename, name, entry, values)``; ``None`` after
-    printing an error. Shared by ``trace`` and ``faults``."""
-    import os
-
-    if os.path.exists(args.target) or args.target.endswith(".lime"):
-        if not args.entry:
-            print(
-                "error: a .lime file target requires --entry",
-                file=sys.stderr,
-            )
-            return None
-        with open(args.target) as f:
+def _load_target(target: str):
+    """Load a CLI target (a ``.lime`` file or a suite app name) as
+    ``(source, filename, name, spec)``, with ``spec`` None for a file;
+    ``None`` after printing an error."""
+    if os.path.exists(target) or target.endswith(".lime"):
+        with open(target) as f:
             source = f.read()
-        name = os.path.splitext(os.path.basename(args.target))[0]
-        return (
-            source,
-            args.target,
-            name,
-            args.entry,
-            [_parse_value(a) for a in args.args],
-        )
+        name = os.path.splitext(os.path.basename(target))[0]
+        return source, target, name, None
     from repro.apps import SUITE
 
-    if args.target not in SUITE:
+    if target not in SUITE:
         known = ", ".join(sorted(SUITE))
         print(
-            f"error: {args.target!r} is neither a file nor a suite "
+            f"error: {target!r} is neither a file nor a suite "
             f"app (known apps: {known})",
             file=sys.stderr,
         )
         return None
-    spec = SUITE[args.target]
-    entry, values = spec.default_args()
+    spec = SUITE[target]
+    return spec.source, f"<{spec.name}.lime>", spec.name, spec
+
+
+def _resolve_target(args):
+    """Resolve a CLI target plus ``--entry``/args into
+    ``(source, filename, name, entry, values)``; ``None`` after
+    printing an error. A suite app runs its default workload unless
+    ``--entry`` overrides it; a file requires ``--entry``."""
+    is_file = os.path.exists(args.target) or args.target.endswith(".lime")
+    if is_file and not args.entry:
+        print(
+            "error: a .lime file target requires --entry",
+            file=sys.stderr,
+        )
+        return None
+    loaded = _load_target(args.target)
+    if loaded is None:
+        return None
+    source, filename, name, spec = loaded
     if args.entry:
-        entry = args.entry
-        values = [_parse_value(a) for a in args.args]
-    return spec.source, f"<{spec.name}.lime>", spec.name, entry, values
+        entry, values = args.entry, [_parse_value(a) for a in args.args]
+    else:
+        entry, values = spec.default_args()
+    return source, filename, name, entry, values
+
+
+def _emit_report(args, kind, report, validate, render, sort_keys=True):
+    """The shared tail of the report commands: validate ``report``,
+    write it to ``--out``, then print it as ``--json`` or rendered
+    text. Returns False (after printing the problems) when the report
+    fails validation."""
+    problems = validate(report)
+    if problems:
+        print(f"error: {kind} failed validation:", file=sys.stderr)
+        for problem in problems:
+            print(f"  {problem}", file=sys.stderr)
+        return False
+    text = json.dumps(report, indent=2, sort_keys=sort_keys)
+    if args.out:
+        with open(args.out, "w") as f:
+            f.write(text + "\n")
+    if args.json:
+        print(text)
+    else:
+        print(render(report))
+        if args.out:
+            print(f"\nwrote {args.out}")
+    return True
+
+
+def _traced_run(args, tracer):
+    """Compile and run one CLI target under ``tracer`` with the
+    placement, scheduler, batch and fusion flags; returns
+    ``(name, entry, outcome)`` or None after printing an error."""
+    from repro.runtime import Runtime
+
+    resolved = _resolve_target(args)
+    if resolved is None:
+        return None
+    source, filename, name, entry, values = resolved
+    compiled = _session(args, tracer=tracer).compile(source, filename=filename)
+    config = _run_config(args, scheduler=args.scheduler, tracer=tracer)
+    return name, entry, Runtime(compiled, config).run(entry, values)
 
 
 def _cmd_trace(args) -> int:
@@ -258,23 +292,12 @@ def _cmd_trace(args) -> int:
         write_chrome_trace,
         write_json_lines,
     )
-    from repro.runtime import Runtime, RuntimeConfig, SubstitutionPolicy
 
     tracer = Tracer()
-    resolved = _resolve_target(args)
-    if resolved is None:
+    ran = _traced_run(args, tracer)
+    if ran is None:
         return 2
-    source, filename, name, entry, values = resolved
-    compiled = _session(args, tracer=tracer).compile(source, filename=filename)
-    policy = SubstitutionPolicy(use_accelerators=not args.cpu_only)
-    config = RuntimeConfig(
-        policy=policy,
-        scheduler=args.scheduler,
-        tracer=tracer,
-        batch_size=args.batch_size,
-        **_runtime_fusion_kwargs(args),
-    )
-    outcome = Runtime(compiled, config).run(entry, values)
+    name, entry, outcome = ran
     out_path = args.out or f"{name}.trace.json"
     payload = write_chrome_trace(tracer, out_path, process_name=name)
     problems = validate_trace_events(payload)
@@ -315,54 +338,31 @@ def _cmd_trace(args) -> int:
 def _cmd_profile(args) -> int:
     """Compile and run one app under tracing, then build and print the
     structured profile report (docs/PROFILING.md)."""
-    import json
-
     from repro.obs import Tracer
     from repro.obs.profile import (
         build_profile,
         compare_profiles,
+        render_profile,
         validate_profile,
     )
-    from repro.runtime import Runtime, RuntimeConfig, SubstitutionPolicy
 
     tracer = Tracer()
-    resolved = _resolve_target(args)
-    if resolved is None:
+    ran = _traced_run(args, tracer)
+    if ran is None:
         return 2
-    source, filename, name, entry, values = resolved
-    compiled = _session(args, tracer=tracer).compile(source, filename=filename)
-    policy = SubstitutionPolicy(use_accelerators=not args.cpu_only)
-    config = RuntimeConfig(
-        policy=policy,
-        scheduler=args.scheduler,
-        tracer=tracer,
-        batch_size=args.batch_size,
-        **_runtime_fusion_kwargs(args),
-    )
-    outcome = Runtime(compiled, config).run(entry, values)
+    name, entry, outcome = ran
     report = build_profile(
         tracer,
         ledger=outcome.ledger,
         app=name,
         entry=entry,
         scheduler=args.scheduler,
-    )
-    problems = validate_profile(report.to_json())
-    if problems:
-        print("error: profile failed validation:", file=sys.stderr)
-        for problem in problems:
-            print(f"  {problem}", file=sys.stderr)
+    ).to_json()
+    if not _emit_report(
+        args, "profile", report, validate_profile, render_profile,
+        sort_keys=False,
+    ):
         return 1
-    if args.out:
-        with open(args.out, "w") as f:
-            f.write(report.dumps())
-            f.write("\n")
-    if args.json:
-        print(report.dumps())
-    else:
-        print(report.render())
-    if args.out and not args.json:
-        print(f"\nwrote {args.out}")
 
     if args.baseline:
         try:
@@ -375,7 +375,7 @@ def _cmd_profile(args) -> int:
             )
             return 2
         regressions = compare_profiles(
-            report.to_json(), baseline, threshold=args.threshold
+            report, baseline, threshold=args.threshold
         )
         if regressions:
             print(
@@ -445,6 +445,44 @@ def _list_fault_plans() -> int:
     return 2
 
 
+def _fault_plan(args, default=None):
+    """The ``--plan`` fault plan (else ``default``), reseeded by
+    ``--seed`` when given."""
+    from repro.runtime import FaultPlan, load_fault_plan
+
+    plan = load_fault_plan(args.plan) if args.plan else default
+    if plan is not None and args.seed is not None:
+        plan = FaultPlan(plan.specs, seed=args.seed)
+    return plan
+
+
+def _cpu_reference(compiled, args, entry, values):
+    """The accelerator-free run: the pure-bytecode answer a degraded
+    run must reproduce exactly."""
+    from repro.runtime import Runtime, RuntimeConfig, SubstitutionPolicy
+
+    return Runtime(
+        compiled,
+        RuntimeConfig(
+            policy=SubstitutionPolicy(use_accelerators=False),
+            scheduler=args.scheduler,
+        ),
+    ).run(entry, values)
+
+
+def _same_result(outcome, reference) -> bool:
+    """Same output and return value as the reference run."""
+    if outcome.output != reference.output:
+        return False
+    left, right = outcome.value, reference.value
+    if left is None and right is None:
+        return True
+    try:
+        return bool(left == right)
+    except Exception:
+        return repr(left) == repr(right)
+
+
 def _cmd_faults(args) -> int:
     """Run an app under a fault plan and verify graceful degradation:
     the faulted run must produce output identical to a cpu-only run,
@@ -452,13 +490,10 @@ def _cmd_faults(args) -> int:
     from repro.errors import ProcessCrash
     from repro.obs import Tracer
     from repro.runtime import (
-        FaultPlan,
         RetryPolicy,
         Runtime,
         RuntimeConfig,
-        SubstitutionPolicy,
         kill_all_devices_plan,
-        load_fault_plan,
     )
 
     if args.list_plans:
@@ -473,24 +508,10 @@ def _cmd_faults(args) -> int:
     if resolved is None:
         return 2
     source, filename, name, entry, values = resolved
-    if args.plan:
-        plan = load_fault_plan(args.plan)
-    else:
-        plan = kill_all_devices_plan()
-    if args.seed is not None:
-        plan = FaultPlan(plan.specs, seed=args.seed)
+    plan = _fault_plan(args, default=kill_all_devices_plan())
 
     compiled = _session(args).compile(source, filename=filename)
-
-    # Reference: accelerators disabled — the pure-bytecode answer the
-    # degraded run must reproduce exactly.
-    reference = Runtime(
-        compiled,
-        RuntimeConfig(
-            policy=SubstitutionPolicy(use_accelerators=False),
-            scheduler=args.scheduler,
-        ),
-    ).run(entry, values)
+    reference = _cpu_reference(compiled, args, entry, values)
 
     tracer = Tracer()
     runtime = Runtime(
@@ -548,9 +569,7 @@ def _cmd_faults(args) -> int:
         )
 
     ok = True
-    if outcome.output != reference.output or not _values_equal(
-        outcome.value, reference.value
-    ):
+    if not _same_result(outcome, reference):
         print(
             "FAIL: degraded output differs from the cpu-only reference",
             file=sys.stderr,
@@ -577,17 +596,12 @@ def _cmd_health(args) -> int:
     keep bytecode authoritative), so the command fails when outputs
     diverge — or when fewer re-promotions happened than
     ``--require-repromotions`` demands."""
-    import json
-
     from repro.obs import Tracer
     from repro.runtime import (
-        FaultPlan,
         HealthPolicy,
         RetryPolicy,
         Runtime,
         RuntimeConfig,
-        SubstitutionPolicy,
-        load_fault_plan,
         render_health_report,
         validate_health_report,
     )
@@ -596,21 +610,12 @@ def _cmd_health(args) -> int:
     if resolved is None:
         return 2
     source, filename, name, entry, values = resolved
-    plan = load_fault_plan(args.plan) if args.plan else None
-    if plan is not None and args.seed is not None:
-        plan = FaultPlan(plan.specs, seed=args.seed)
+    plan = _fault_plan(args)
 
     compiled = _session(args).compile(source, filename=filename)
-
-    # Reference: accelerators disabled — the answer the health-mediated
-    # run must reproduce exactly (probes keep bytecode authoritative).
-    reference = Runtime(
-        compiled,
-        RuntimeConfig(
-            policy=SubstitutionPolicy(use_accelerators=False),
-            scheduler=args.scheduler,
-        ),
-    ).run(entry, values)
+    # Probes keep bytecode authoritative, so the health-mediated run
+    # must reproduce the cpu-only answer exactly.
+    reference = _cpu_reference(compiled, args, entry, values)
 
     tracer = Tracer()
     health = HealthPolicy(
@@ -638,27 +643,14 @@ def _cmd_health(args) -> int:
     report = runtime.health.to_report(
         app=name, entry=entry, scheduler=args.scheduler
     )
-    problems = validate_health_report(report)
-    if problems:
-        print("error: health report failed validation:", file=sys.stderr)
-        for problem in problems:
-            print(f"  {problem}", file=sys.stderr)
+    if not _emit_report(
+        args, "health report", report, validate_health_report,
+        render_health_report,
+    ):
         return 1
-    if args.out:
-        with open(args.out, "w") as f:
-            json.dump(report, f, indent=2, sort_keys=True)
-            f.write("\n")
-    if args.json:
-        print(json.dumps(report, indent=2, sort_keys=True))
-    else:
-        print(render_health_report(report))
-        if args.out:
-            print(f"\nwrote {args.out}")
 
     ok = True
-    if outcome.output != reference.output or not _values_equal(
-        outcome.value, reference.value
-    ):
+    if not _same_result(outcome, reference):
         print(
             "FAIL: output differs from the cpu-only reference",
             file=sys.stderr,
@@ -682,15 +674,6 @@ def _cmd_health(args) -> int:
     return 0 if ok else 1
 
 
-def _values_equal(left, right) -> bool:
-    if left is None and right is None:
-        return True
-    try:
-        return bool(left == right)
-    except Exception:
-        return repr(left) == repr(right)
-
-
 def _cmd_serve(args) -> int:
     """Run the deterministic multi-tenant service driver: N tenants
     (weights cycling 1,2,3) submit jobs concurrently through the
@@ -698,8 +681,6 @@ def _cmd_serve(args) -> int:
     leasing, shared breakers — then the service drains and prints the
     ``repro.service/1`` report. With ``--verify`` every job is
     compared bit-identically against a standalone fault-free run."""
-    import json
-
     from repro.runtime import load_fault_plan
     from repro.service import (
         render_service_report,
@@ -719,36 +700,29 @@ def _cmd_serve(args) -> int:
         fault_plan=plan,
         verify=args.verify,
     )
-    problems = validate_service_report(report)
-    if problems:
-        print("error: service report failed validation:", file=sys.stderr)
-        for problem in problems:
-            print(f"  {problem}", file=sys.stderr)
-        return 1
-    if args.out:
-        with open(args.out, "w") as f:
-            json.dump(report, f, indent=2, sort_keys=True)
-            f.write("\n")
-    if args.json:
-        print(json.dumps(report, indent=2, sort_keys=True))
-    else:
-        print(render_service_report(report))
-        if args.verify:
-            driver = report.get("driver", {})
-            print(
-                "verify: {n} job(s) bit-identical to standalone runs "
-                "({t})".format(
-                    n=driver.get("verified_jobs", 0),
-                    t=(
-                        "output, value, simulated seconds"
-                        if driver.get("timing_checked")
-                        else "output and value; timing exempt under "
-                        "fault plan"
-                    ),
-                )
+
+    def render(report):
+        text = render_service_report(report)
+        if not args.verify:
+            return text
+        driver = report.get("driver", {})
+        return text + (
+            "\nverify: {n} job(s) bit-identical to standalone runs "
+            "({t})".format(
+                n=driver.get("verified_jobs", 0),
+                t=(
+                    "output, value, simulated seconds"
+                    if driver.get("timing_checked")
+                    else "output and value; timing exempt under "
+                    "fault plan"
+                ),
             )
-        if args.out:
-            print(f"\nwrote {args.out}")
+        )
+
+    if not _emit_report(
+        args, "service report", report, validate_service_report, render
+    ):
+        return 1
     totals = report.get("totals", {})
     if totals.get("failed", 0):
         print(
@@ -765,7 +739,6 @@ def _cmd_recover(args) -> int:
     in a loop until a pass converges, then verify every job's result
     digest is bit-identical to an uninterrupted baseline and print the
     ``repro.recover/1`` report (docs/RECOVERY.md)."""
-    import json
     import tempfile
 
     from repro.service import (
@@ -791,22 +764,11 @@ def _cmd_recover(args) -> int:
     else:
         with tempfile.TemporaryDirectory(prefix="repro-recover-") as tmp:
             report = drive(os.path.join(tmp, "journal"))
-    problems = validate_recover_report(report)
-    if problems:
-        print("error: recovery report failed validation:", file=sys.stderr)
-        for problem in problems:
-            print(f"  {problem}", file=sys.stderr)
+    if not _emit_report(
+        args, "recovery report", report, validate_recover_report,
+        render_recover_report,
+    ):
         return 1
-    if args.out:
-        with open(args.out, "w") as f:
-            json.dump(report, f, indent=2, sort_keys=True)
-            f.write("\n")
-    if args.json:
-        print(json.dumps(report, indent=2, sort_keys=True))
-    else:
-        print(render_recover_report(report))
-        if args.out:
-            print(f"\nwrote {args.out}")
     driver = report.get("driver", {})
     if driver.get("verified_jobs", 0) != args.jobs:
         print(
@@ -823,28 +785,12 @@ def _cmd_fuse(args) -> int:
     ``repro.fusion/1`` plan (docs/FUSION.md). With ``--profile`` the
     pass only fuses groups the profile report shows actually offload;
     the rejects are recorded in the plan with their reasons."""
-    import os
-
     from repro.ir.fusion import render_fused_ir
 
-    if os.path.exists(args.target) or args.target.endswith(".lime"):
-        with open(args.target) as f:
-            source = f.read()
-        filename = args.target
-    else:
-        from repro.apps import SUITE
-
-        if args.target not in SUITE:
-            known = ", ".join(sorted(SUITE))
-            print(
-                f"error: {args.target!r} is neither a file nor a suite "
-                f"app (known apps: {known})",
-                file=sys.stderr,
-            )
-            return 2
-        spec = SUITE[args.target]
-        source, filename = spec.source, f"<{spec.name}.lime>"
-
+    loaded = _load_target(args.target)
+    if loaded is None:
+        return 2
+    source, filename, _, _ = loaded
     options = _options(args).replace(
         fusion=FusionOptions(
             mode="auto", profile_path=args.profile or ""
@@ -954,8 +900,6 @@ def _emit(args, device: str) -> int:
 
 def _cmd_harvest(args) -> int:
     """AOT-populate an artifact cache for the app suite (docs/CACHING.md)."""
-    import json
-
     if _cache_options(args) is None:
         print("error: harvest requires --cache-dir", file=sys.stderr)
         return 2
@@ -1010,8 +954,6 @@ def _maintenance_cache(args, mode: str):
 
 
 def _cmd_cache_stats(args) -> int:
-    import json
-
     stats = _maintenance_cache(args, "read").stats()
     if args.json:
         print(json.dumps(stats, indent=2, sort_keys=True))
@@ -1100,11 +1042,15 @@ def _cmd_bench_collect(args) -> int:
         validate_trajectory,
     )
 
-    snapshot = collect_snapshot(
-        args.bench_dir,
-        label=args.label,
-        run_profiles=not args.no_profiles,
-    )
+    try:
+        snapshot = collect_snapshot(
+            args.bench_dir,
+            label=args.label,
+            run_profiles=not args.no_profiles,
+        )
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
     problems = validate_trajectory(snapshot)
     if problems:
         for problem in problems:
@@ -1164,6 +1110,9 @@ def _cmd_bench_trend(args) -> int:
             )
         except FileNotFoundError:
             pass
+        except ValueError as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return 1
     if not snapshots:
         print(
             f"no snapshots under {args.changelog_dir!r} and no bench "
@@ -1290,11 +1239,52 @@ def build_parser() -> argparse.ArgumentParser:
             help="LRU-evict unpinned entries beyond this payload size",
         )
 
-    def common(p):
-        p.add_argument("file", help="Lime source file")
+    def device_flags(p):
         p.add_argument("--no-gpu", action="store_true")
         p.add_argument("--no-fpga", action="store_true")
         p.add_argument("--fpga-pipelined", action="store_true")
+
+    def cpu_only_flag(p):
+        p.add_argument("--cpu-only", action="store_true")
+
+    def scheduler_flag(p, default="threaded"):
+        p.add_argument(
+            "--scheduler",
+            choices=("threaded", "sequential"),
+            default=default,
+        )
+
+    def target_flags(p, example="mandelbrot", nargs=None, entry=True):
+        p.add_argument(
+            "target",
+            nargs=nargs,
+            help=f"suite app name (e.g. {example}) or a Lime source file",
+        )
+        if entry:
+            p.add_argument(
+                "--entry",
+                help="qualified entry point (required for .lime files; "
+                "overrides the suite default workload)",
+            )
+            p.add_argument(
+                "args", nargs="*", help="argument literals for --entry"
+            )
+
+    def report_flags(p):
+        p.add_argument(
+            "--json",
+            action="store_true",
+            help="print the machine-readable JSON report instead of text",
+        )
+        p.add_argument(
+            "-o",
+            "--out",
+            help="also write the JSON report to this path",
+        )
+
+    def common(p):
+        p.add_argument("file", help="Lime source file")
+        device_flags(p)
         cache_flags(p)
 
     def batch_size_option(p):
@@ -1334,7 +1324,7 @@ def build_parser() -> argparse.ArgumentParser:
     common(p)
     p.add_argument("entry", help="qualified entry, e.g. Bitflip.taskFlip")
     p.add_argument("args", nargs="*", help="argument literals")
-    p.add_argument("--cpu-only", action="store_true")
+    cpu_only_flag(p)
     p.add_argument("--time", action="store_true", help="print simulated time")
     p.add_argument(
         "--profile",
@@ -1349,25 +1339,10 @@ def build_parser() -> argparse.ArgumentParser:
         "trace",
         help="run one app under tracing and export Chrome trace JSON",
     )
-    p.add_argument(
-        "target",
-        help="suite app name (e.g. mandelbrot) or a Lime source file",
-    )
-    p.add_argument(
-        "--entry",
-        help="qualified entry point (required for .lime files; "
-        "overrides the suite default workload)",
-    )
-    p.add_argument("args", nargs="*", help="argument literals for --entry")
-    p.add_argument("--no-gpu", action="store_true")
-    p.add_argument("--no-fpga", action="store_true")
-    p.add_argument("--fpga-pipelined", action="store_true")
-    p.add_argument("--cpu-only", action="store_true")
-    p.add_argument(
-        "--scheduler",
-        choices=("threaded", "sequential"),
-        default="threaded",
-    )
+    target_flags(p)
+    device_flags(p)
+    cpu_only_flag(p)
+    scheduler_flag(p)
     p.add_argument(
         "-o",
         "--out",
@@ -1389,35 +1364,11 @@ def build_parser() -> argparse.ArgumentParser:
         help="run one app under tracing and print a structured "
         "profile report (utilization, queues, critical path)",
     )
-    p.add_argument(
-        "target",
-        help="suite app name (e.g. mandelbrot) or a Lime source file",
-    )
-    p.add_argument(
-        "--entry",
-        help="qualified entry point (required for .lime files; "
-        "overrides the suite default workload)",
-    )
-    p.add_argument("args", nargs="*", help="argument literals for --entry")
-    p.add_argument("--no-gpu", action="store_true")
-    p.add_argument("--no-fpga", action="store_true")
-    p.add_argument("--fpga-pipelined", action="store_true")
-    p.add_argument("--cpu-only", action="store_true")
-    p.add_argument(
-        "--scheduler",
-        choices=("threaded", "sequential"),
-        default="threaded",
-    )
-    p.add_argument(
-        "--json",
-        action="store_true",
-        help="print the machine-readable JSON report instead of text",
-    )
-    p.add_argument(
-        "-o",
-        "--out",
-        help="also write the JSON report to this path",
-    )
+    target_flags(p)
+    device_flags(p)
+    cpu_only_flag(p)
+    scheduler_flag(p)
+    report_flags(p)
     p.add_argument(
         "--baseline",
         help="baseline profile JSON to compare against; exits non-zero "
@@ -1439,26 +1390,15 @@ def build_parser() -> argparse.ArgumentParser:
         help="run an app under a fault plan and verify graceful "
         "degradation to bytecode",
     )
-    p.add_argument(
-        "target",
-        nargs="?",
-        help="suite app name (e.g. mandelbrot) or a Lime source file",
-    )
+    # Added before the target so --help lists it first among options.
     p.add_argument(
         "--list-plans",
         action="store_true",
         help="list the bundled example fault plans "
         "(examples/fault_plans/*.json) and exit",
     )
-    p.add_argument(
-        "--entry",
-        help="qualified entry point (required for .lime files; "
-        "overrides the suite default workload)",
-    )
-    p.add_argument("args", nargs="*", help="argument literals for --entry")
-    p.add_argument("--no-gpu", action="store_true")
-    p.add_argument("--no-fpga", action="store_true")
-    p.add_argument("--fpga-pipelined", action="store_true")
+    target_flags(p, nargs="?")
+    device_flags(p)
     p.add_argument(
         "--plan",
         help="fault plan JSON file (default: kill every device call)",
@@ -1466,11 +1406,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--seed", type=int, default=None, help="override the plan's RNG seed"
     )
-    p.add_argument(
-        "--scheduler",
-        choices=("threaded", "sequential"),
-        default="threaded",
-    )
+    scheduler_flag(p)
     p.add_argument(
         "--max-attempts",
         type=int,
@@ -1493,19 +1429,8 @@ def build_parser() -> argparse.ArgumentParser:
         "print the device-health report (breaker transitions, shadow "
         "probes, re-promotions)",
     )
-    p.add_argument(
-        "target",
-        help="suite app name (e.g. gray_pipeline) or a Lime source file",
-    )
-    p.add_argument(
-        "--entry",
-        help="qualified entry point (required for .lime files; "
-        "overrides the suite default workload)",
-    )
-    p.add_argument("args", nargs="*", help="argument literals for --entry")
-    p.add_argument("--no-gpu", action="store_true")
-    p.add_argument("--no-fpga", action="store_true")
-    p.add_argument("--fpga-pipelined", action="store_true")
+    target_flags(p, example="gray_pipeline")
+    device_flags(p)
     p.add_argument(
         "--plan",
         help="fault plan JSON file (default: no faults — breakers "
@@ -1514,11 +1439,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--seed", type=int, default=None, help="override the plan's RNG seed"
     )
-    p.add_argument(
-        "--scheduler",
-        choices=("threaded", "sequential"),
-        default="threaded",
-    )
+    scheduler_flag(p)
     p.add_argument(
         "--max-attempts",
         type=int,
@@ -1570,16 +1491,7 @@ def build_parser() -> argparse.ArgumentParser:
         default=0,
         help="fail unless at least this many re-promotions happened",
     )
-    p.add_argument(
-        "--json",
-        action="store_true",
-        help="print the machine-readable JSON report instead of text",
-    )
-    p.add_argument(
-        "-o",
-        "--out",
-        help="also write the JSON report to this path",
-    )
+    report_flags(p)
     cache_flags(p)
     batch_size_option(p)
     p.set_defaults(fn=_cmd_health)
@@ -1627,11 +1539,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="per-tenant queued-job bound; over it submissions are "
         "rejected with a retry-after hint",
     )
-    p.add_argument(
-        "--scheduler",
-        choices=("threaded", "sequential"),
-        default="sequential",
-    )
+    scheduler_flag(p, default="sequential")
     p.add_argument(
         "--plan",
         help="fault plan JSON file applied to every job's runtime",
@@ -1643,16 +1551,7 @@ def build_parser() -> argparse.ArgumentParser:
         "(bit-identical output/value; simulated seconds too when no "
         "fault plan)",
     )
-    p.add_argument(
-        "--json",
-        action="store_true",
-        help="print the machine-readable JSON report instead of text",
-    )
-    p.add_argument(
-        "-o",
-        "--out",
-        help="also write the JSON report to this path",
-    )
+    report_flags(p)
     p.set_defaults(fn=_cmd_serve)
 
     p = sub.add_parser(
@@ -1672,11 +1571,7 @@ def build_parser() -> argparse.ArgumentParser:
         default=6,
         help="jobs submitted before the first crash",
     )
-    p.add_argument(
-        "--scheduler",
-        choices=("threaded", "sequential"),
-        default="sequential",
-    )
+    scheduler_flag(p, default="sequential")
     p.add_argument(
         "--seed",
         type=int,
@@ -1708,16 +1603,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="give up if recovery has not converged after this many "
         "restarts",
     )
-    p.add_argument(
-        "--json",
-        action="store_true",
-        help="print the machine-readable JSON report instead of text",
-    )
-    p.add_argument(
-        "-o",
-        "--out",
-        help="also write the JSON report to this path",
-    )
+    report_flags(p)
     p.set_defaults(fn=_cmd_recover)
 
     p = sub.add_parser(
@@ -1730,9 +1616,7 @@ def build_parser() -> argparse.ArgumentParser:
         nargs="*",
         help="suite app names (default: every app in repro.apps.SUITE)",
     )
-    p.add_argument("--no-gpu", action="store_true")
-    p.add_argument("--no-fpga", action="store_true")
-    p.add_argument("--fpga-pipelined", action="store_true")
+    device_flags(p)
     cache_flags(p)
     p.add_argument(
         "--no-verify",
@@ -1895,13 +1779,8 @@ def build_parser() -> argparse.ArgumentParser:
         help="plan task fusion for an app and print/save the "
         "repro.fusion/1 plan (docs/FUSION.md)",
     )
-    p.add_argument(
-        "target",
-        help="suite app name (e.g. gray_pipeline) or a Lime source file",
-    )
-    p.add_argument("--no-gpu", action="store_true")
-    p.add_argument("--no-fpga", action="store_true")
-    p.add_argument("--fpga-pipelined", action="store_true")
+    target_flags(p, example="gray_pipeline", entry=False)
+    device_flags(p)
     p.add_argument(
         "--profile",
         help="profile report JSON (python -m repro profile -o ...); "
@@ -1922,29 +1801,19 @@ def build_parser() -> argparse.ArgumentParser:
     cache_flags(p)
     p.set_defaults(fn=_cmd_fuse)
 
-    p = sub.add_parser("format", help="pretty-print (normalize) a source file")
-    common(p)
-    p.set_defaults(fn=_cmd_format)
-
-    p = sub.add_parser("markers", help="IDE-style per-line artifact markers")
-    common(p)
-    p.set_defaults(fn=_cmd_markers)
-
-    p = sub.add_parser("graphs", help="list discovered task graphs")
-    common(p)
-    p.set_defaults(fn=_cmd_graphs)
-
-    p = sub.add_parser("disas", help="disassemble the bytecode artifact")
-    common(p)
-    p.set_defaults(fn=_cmd_disas)
-
-    p = sub.add_parser("emit-opencl", help="print generated OpenCL C")
-    common(p)
-    p.set_defaults(fn=lambda a: _emit(a, "gpu"))
-
-    p = sub.add_parser("emit-verilog", help="print generated Verilog")
-    common(p)
-    p.set_defaults(fn=lambda a: _emit(a, "fpga"))
+    for name, help_text, fn in (
+        ("format", "pretty-print (normalize) a source file", _cmd_format),
+        ("markers", "IDE-style per-line artifact markers", _cmd_markers),
+        ("graphs", "list discovered task graphs", _cmd_graphs),
+        ("disas", "disassemble the bytecode artifact", _cmd_disas),
+        ("emit-opencl", "print generated OpenCL C",
+         lambda a: _emit(a, "gpu")),
+        ("emit-verilog", "print generated Verilog",
+         lambda a: _emit(a, "fpga")),
+    ):
+        p = sub.add_parser(name, help=help_text)
+        common(p)
+        p.set_defaults(fn=fn)
 
     p = sub.add_parser(
         "build", help="compile and write an on-disk artifact repository"

@@ -5,9 +5,9 @@ selection, marshaling across the host/device boundary (Sections 3–4 of
 the paper) — and every later performance PR needs to see where time
 goes. A :class:`Tracer` records nested, attributed spans
 (``compile.frontend``, ``run.offload``, ``run.marshal.to_device``, …)
-and owns a :class:`Counters` registry (offloads attempted/taken,
-exclusions by reason, bytes crossed per link, substitution decisions
-by rule).
+and owns a :class:`repro.obs.metrics.Counters` registry (offloads
+attempted/taken, exclusions by reason, bytes crossed per link,
+substitution decisions by rule).
 
 Disabled tracing is the default everywhere and must cost nothing: the
 module-level :data:`NULL_TRACER` singleton returns one shared
@@ -27,15 +27,7 @@ import itertools
 import threading
 import time
 
-# Counters moved into the metrics registry (repro.obs.metrics) so one
-# module owns every instrument kind; re-exported here because the
-# original public path was repro.obs.tracer.Counters.
-from repro.obs.metrics import (  # noqa: F401  (re-export)
-    NULL_METRICS,
-    Counters,
-    MetricsRegistry,
-    _NullCounters,
-)
+from repro.obs.metrics import NULL_METRICS, MetricsRegistry
 
 
 class Span:

@@ -6,7 +6,7 @@ profiler — but nothing remembers them. This module turns those
 artifacts into a gated time series (docs/TRAJECTORY.md):
 
 * :func:`collect_snapshot` aggregates every ``benchmarks/out/BENCH_*``
-  report (``repro.bench/1`` envelopes and legacy shapes alike), runs a
+  ``repro.bench/1`` report (refusing any that does not validate), runs a
   deterministic profile pass over canonical apps to capture the
   critical-path breakdown and the key runtime counters
   (``marshal.crossings``, ``cache.*``, ``fusion``/``specialize``,
@@ -129,21 +129,17 @@ def bench_metric(
     }
 
 
-def bench_envelope(
-    bench: str, metrics: dict, legacy: "dict | None" = None
-) -> dict:
+def bench_envelope(bench: str, metrics: dict) -> dict:
     """The full ``repro.bench/1`` payload for one benchmark report:
-    schema + git metadata + judged metrics, with any ``legacy``
-    top-level keys merged in unchanged so pre-envelope consumers keep
-    working."""
-    payload = dict(legacy or {})
-    payload["schema"] = BENCH_SCHEMA
-    payload["bench"] = bench
-    payload["git"] = git_metadata()
-    payload["metrics"] = {
-        name: dict(metric) for name, metric in sorted(metrics.items())
+    schema + git metadata + judged metrics."""
+    return {
+        "schema": BENCH_SCHEMA,
+        "bench": bench,
+        "git": git_metadata(),
+        "metrics": {
+            name: dict(metric) for name, metric in sorted(metrics.items())
+        },
     }
-    return payload
 
 
 def validate_bench(payload) -> list:
@@ -172,54 +168,6 @@ def validate_bench(payload) -> list:
         if metric.get("kind") not in ("modeled", "wall"):
             problems.append(f"{where}: kind must be modeled|wall")
     return problems
-
-
-# ----------------------------------------------------------------------
-# Legacy BENCH_*.json flattening
-# ----------------------------------------------------------------------
-
-#: Name fragments that imply smaller-is-better for legacy reports
-#: (seconds, latencies, boundary crossings, payload sizes).
-_LOWER_HINTS = ("_s", "_us", "_ns", "seconds", "crossings", "bytes", "cycles")
-#: Name fragments that imply bigger-is-better.
-_HIGHER_HINTS = ("speedup", "improvement", "throughput", "ratio", "fmax")
-_WALL_HINTS = ("wall",)
-
-
-def _infer_direction(name: str) -> "str | None":
-    leaf = name.rsplit(".", 1)[-1].lower()
-    for hint in _HIGHER_HINTS:
-        if hint in leaf:
-            return "higher"
-    for hint in _LOWER_HINTS:
-        if leaf.endswith(hint) or f"{hint}." in leaf:
-            return "lower"
-    return None
-
-
-def flatten_legacy_metrics(payload: dict, prefix: str = "") -> dict:
-    """Numeric leaves of a pre-envelope ``BENCH_*.json`` as envelope
-    metrics, dotted-path named, with direction inferred from the leaf
-    name. Leaves whose direction cannot be inferred are skipped — a
-    metric nobody can classify cannot gate."""
-    metrics: dict = {}
-    for key, value in payload.items():
-        name = f"{prefix}{key}"
-        if isinstance(value, dict):
-            metrics.update(flatten_legacy_metrics(value, prefix=f"{name}."))
-        elif isinstance(value, (int, float)) and not isinstance(value, bool):
-            direction = _infer_direction(name)
-            if direction is None:
-                continue
-            kind = (
-                "wall"
-                if any(h in name.lower() for h in _WALL_HINTS)
-                else "modeled"
-            )
-            metrics[name] = bench_metric(
-                value, unit="", direction=direction, kind=kind
-            )
-    return metrics
 
 
 # ----------------------------------------------------------------------
@@ -294,8 +242,12 @@ def collect_snapshot(
     reports in ``bench_dir`` plus (optionally) fresh deterministic
     profile runs. Raises ``FileNotFoundError`` when ``bench_dir`` holds
     no ``BENCH_*.json`` at all — an empty snapshot gates nothing and is
-    always a collection mistake."""
+    always a collection mistake — and ``ValueError`` naming every
+    report that is unreadable or not a valid ``repro.bench/1``
+    envelope, so a truncated report cannot drop out of the gate
+    unseen."""
     benches: dict = {}
+    broken: list = []
     names = sorted(
         fn
         for fn in (os.listdir(bench_dir) if os.path.isdir(bench_dir) else [])
@@ -306,29 +258,21 @@ def collect_snapshot(
         try:
             with open(path) as fh:
                 payload = json.load(fh)
-        except (OSError, json.JSONDecodeError):
+        except (OSError, json.JSONDecodeError) as exc:
+            broken.append(f"{path}: unreadable: {exc}")
             continue
-        if not isinstance(payload, dict):
+        problems = validate_bench(payload)
+        if problems:
+            broken.extend(f"{path}: {problem}" for problem in problems)
             continue
-        bench_name = fn[len("BENCH_"):-len(".json")]
-        if payload.get("schema") == BENCH_SCHEMA:
-            metrics = {
-                name: metric
-                for name, metric in sorted(
-                    payload.get("metrics", {}).items()
-                )
-                if isinstance(metric, dict)
-                and isinstance(metric.get("value"), (int, float))
-            }
-            envelope = True
-        else:
-            metrics = flatten_legacy_metrics(payload)
-            envelope = False
-        benches[bench_name] = {
+        benches[fn[len("BENCH_"):-len(".json")]] = {
             "source": fn,
-            "envelope": envelope,
-            "metrics": metrics,
+            "metrics": dict(sorted(payload["metrics"].items())),
         }
+    if broken:
+        raise ValueError(
+            "invalid bench report(s):\n  " + "\n  ".join(broken)
+        )
     if not benches:
         raise FileNotFoundError(
             f"no BENCH_*.json reports under {bench_dir!r}; run "

@@ -275,17 +275,11 @@ class Runtime(Services):
         # state is shared across jobs (docs/SERVICE.md); this runtime
         # then only *subscribes* its policy-sync hook, and close()
         # unsubscribes it.
-        if health_registry is not None:
-            self.health = health_registry
-            self.health.add_listener(self._on_breaker_transition)
-            self._shared_health = True
-        else:
-            self.health = HealthRegistry(
-                self.config.health,
-                tracer=self.trace,
-                listener=self._on_breaker_transition,
-            )
-            self._shared_health = False
+        self._shared_health = health_registry is not None
+        self.health = health_registry or HealthRegistry(
+            self.config.health, tracer=self.trace
+        )
+        self.health.add_listener(self._on_breaker_transition)
         self.gpu_boundary = MarshalingBoundary(
             self.config.gpu_link,
             tracer=self.trace,

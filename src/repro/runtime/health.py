@@ -379,37 +379,25 @@ class HealthRegistry:
 
     The engine reports every offload outcome here; the registry owns
     the breakers, emits ``breaker.transition`` spans, ``health.*``
-    counters, and the per-breaker state gauge, and invokes the
-    ``listener`` (the engine's policy-sync hook: install a revocable
-    bytecode directive on OPEN, lift it on HALF_OPEN/CLOSED) for every
-    transition.
+    counters, and the per-breaker state gauge, and invokes every
+    listener added with :meth:`add_listener` (the engine's policy-sync
+    hook: install a revocable bytecode directive on OPEN, lift it on
+    HALF_OPEN/CLOSED) for every transition.
     """
 
     def __init__(self, policy: "HealthPolicy | None" = None,
-                 tracer=NULL_TRACER, listener=None):
+                 tracer=NULL_TRACER):
         self.policy = policy or HealthPolicy()
         self.tracer = tracer
         self.metrics = getattr(tracer, "metrics", NULL_METRICS)
         # A service-scoped registry is shared by many concurrent
         # runtimes, each syncing its own substitution policy — so
-        # transitions fan out to a *list* of listeners. The ``listener``
-        # ctor argument is kept for the single-runtime case.
+        # transitions fan out to a *list* of listeners.
         self._listeners: list = []
-        if listener is not None:
-            self._listeners.append(listener)
         self._lock = threading.Lock()
         self._breakers: dict = {}   # (device, key) -> DeviceHealth
 
     # -- listeners ---------------------------------------------------------
-
-    @property
-    def listener(self):
-        """The first registered listener (legacy single-runtime view)."""
-        return self._listeners[0] if self._listeners else None
-
-    @listener.setter
-    def listener(self, fn) -> None:
-        self._listeners = [] if fn is None else [fn]
 
     def add_listener(self, fn) -> None:
         """Subscribe ``fn(record, transition)`` to breaker transitions

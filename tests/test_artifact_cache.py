@@ -26,7 +26,7 @@ from repro.backends.artifacts import (
     modeled_load_s,
     options_fingerprint,
 )
-from repro.compiler import CompileOptions, compile_program
+from repro.compiler import CompileOptions, CompilerSession
 from repro.errors import ConfigurationError
 from repro.obs import Tracer
 
@@ -37,9 +37,7 @@ SAXPY = SUITE["saxpy"].source
 
 
 def _compiled(source=BITFLIP, **overrides):
-    return compile_program(
-        source, options=CompileOptions(**overrides)
-    )
+    return CompilerSession(CompileOptions(**overrides)).compile(source)
 
 
 def _cache(tmp_path, **overrides):
@@ -342,7 +340,7 @@ class TestCorruption:
 
 class TestEviction:
     def _store_program(self, cache, source, backend="opencl"):
-        result = compile_program(source, options=CompileOptions())
+        result = CompilerSession().compile(source)
         key = cache_key(result.module, backend, CompileOptions())
         device = {"opencl": "gpu", "verilog": "fpga"}.get(backend)
         artifacts = (

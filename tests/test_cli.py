@@ -4,7 +4,7 @@ import pytest
 
 from tests.lime_sources import FIGURE1
 from repro.cli import _parse_value, main
-from repro.compiler import compile_program
+from repro.compiler import CompilerSession
 from repro.ide import annotate_source, exclusion_notes
 from repro.values import KIND_INT, ValueArray
 
@@ -152,7 +152,7 @@ class TestCommands:
 
 class TestIDEViews:
     def test_marker_on_relocation_line(self):
-        compiled = compile_program(FIGURE1)
+        compiled = CompilerSession().compile(FIGURE1)
         body_lines = annotate_source(compiled).splitlines()[:-1]  # drop legend
         marked = [line for line in body_lines if "●" in line]
         assert len(marked) == 1
@@ -163,7 +163,7 @@ class TestIDEViews:
         source = (
             "class T { local static float f(float x) { return x; } }"
         )
-        compiled = compile_program(source)
+        compiled = CompilerSession().compile(source)
         body_lines = annotate_source(compiled).splitlines()[:-1]
         assert not any("●" in line for line in body_lines)
 
@@ -177,13 +177,13 @@ class TestIDEViews:
             }
         }
         """
-        compiled = compile_program(source)
+        compiled = CompilerSession().compile(source)
         notes = exclusion_notes(compiled)
         assert "[fpga]" in notes
         assert "synthesizable" in notes
 
     def test_exclusion_notes_empty(self):
-        compiled = compile_program("class T { }")
+        compiled = CompilerSession().compile("class T { }")
         assert exclusion_notes(compiled) == "(no exclusions)"
 
 

@@ -106,10 +106,10 @@ class TestShapeDiagnostics:
     def test_shape_error_is_compile_time(self):
         # "the programmer is informed at compile time with an
         # appropriate error message" (Section 3).
-        from repro.compiler import compile_program
+        from repro.compiler import CompilerSession
 
         with pytest.raises(TaskGraphError) as info:
-            compile_program(
+            CompilerSession().compile(
                 """
                 class T {
                     local static bit f(bit b) { return b; }

@@ -9,7 +9,7 @@ what a behavioral synthesis flow does when it retimes.
 import pytest
 
 from repro.apps import SUITE
-from repro.compiler import CompileOptions, compile_program
+from repro.compiler import CompileOptions, CompilerSession
 from repro.devices.fpga import FPGASimulator
 from repro.runtime import Runtime, RuntimeConfig, SubstitutionPolicy
 from repro.values import KIND_INT, ValueArray
@@ -18,9 +18,7 @@ CRC_SOURCE = SUITE["crc8"].source
 
 
 def crc_bundle(**options):
-    compiled = compile_program(
-        CRC_SOURCE, options=CompileOptions(**options)
-    )
+    compiled = CompilerSession(CompileOptions(**options)).compile(CRC_SOURCE)
     (artifact,) = compiled.store.for_device("fpga")
     return artifact.payload
 
@@ -83,12 +81,9 @@ class TestRetiming:
     def test_pipelined_retimed_throughput(self):
         """II=1 + retiming: deep logic at ~1 item/cycle with a higher
         modeled clock."""
-        compiled = compile_program(
-            CRC_SOURCE,
-            options=CompileOptions(
-                fpga_pipelined=True, fpga_max_stage_depth=6
-            ),
-        )
+        compiled = CompilerSession(
+            CompileOptions(fpga_pipelined=True, fpga_max_stage_depth=6)
+        ).compile(CRC_SOURCE)
         (artifact,) = compiled.store.for_device("fpga")
         bundle = artifact.payload
         items = [i % 256 for i in range(64)]
@@ -101,9 +96,9 @@ class TestRetiming:
         assert result.throughput_items_per_cycle > 0.8
 
     def test_end_to_end_through_runtime(self):
-        compiled = compile_program(
-            CRC_SOURCE, options=CompileOptions(fpga_max_stage_depth=6)
-        )
+        compiled = CompilerSession(
+            CompileOptions(fpga_max_stage_depth=6)
+        ).compile(CRC_SOURCE)
         crc_id = compiled.task_graphs[0].stages[1].task_id
         runtime = Runtime(
             compiled,
@@ -120,9 +115,9 @@ class TestRetiming:
         """Higher Fmax wins once the stream amortizes the latency."""
 
         def simulated_time(**options):
-            compiled = compile_program(
-                CRC_SOURCE, options=CompileOptions(**options)
-            )
+            compiled = CompilerSession(
+                CompileOptions(**options)
+            ).compile(CRC_SOURCE)
             crc_id = compiled.task_graphs[0].stages[1].task_id
             runtime = Runtime(
                 compiled,

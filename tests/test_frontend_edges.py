@@ -184,11 +184,11 @@ class TestMoreRejections:
         }
         """
         from repro.apps import compile_app  # noqa: F401  (env warmup)
-        from repro.compiler import compile_program
+        from repro.compiler import CompilerSession
         from repro.runtime import Runtime
         from repro.values import KIND_INT, MutableArray, ValueArray
 
-        runtime = Runtime(compile_program(source))
+        runtime = Runtime(CompilerSession().compile(source))
         xs = ValueArray(KIND_INT, [1, 2])
         out = MutableArray.allocate(KIND_INT, 2)
         runtime.call("T.m", [xs, out])

@@ -6,7 +6,7 @@ from tests.lime_sources import SAXPY
 from repro.apps import compile_app
 from repro.backends.bytecode import Interpreter
 from repro.backends.opencl import compile_gpu
-from repro.compiler import compile_program
+from repro.compiler import CompilerSession
 from repro.devices.gpu import GPUSimulator, GTX580
 from repro.errors import DeviceError
 from repro.ir import build_ir
@@ -15,7 +15,7 @@ from repro.values import KIND_FLOAT, KIND_INT, ValueArray
 
 
 def gpu_for(source):
-    compiled = compile_program(source)
+    compiled = CompilerSession().compile(source)
     backend_artifacts = {
         a.artifact_id: a for a in compiled.store.for_device("gpu")
     }

@@ -17,7 +17,7 @@ import pytest
 
 from repro.apps import SUITE
 from repro.backends.common import BYTECODE
-from repro.compiler import CompileOptions, compile_program
+from repro.compiler import CompileOptions, CompilerSession
 from repro.errors import (
     ConfigurationError,
     DeviceError,
@@ -263,9 +263,9 @@ class TestHealthRegistry:
         registry = HealthRegistry(
             HealthPolicy(cooldown_s=1e-6, failure_threshold=1,
                          probe_batches=1),
-            listener=lambda record, t: seen.append(
-                (t.from_state, t.to_state)
-            ),
+        )
+        registry.add_listener(
+            lambda record, t: seen.append((t.from_state, t.to_state))
         )
         registry.on_failure("gpu", "a", 0.0, covered_task_ids=["t:f0"])
         registry.on_fallback("gpu", "a", 2e-6)
@@ -559,11 +559,9 @@ def _recovery_run(scheduler, plan=TRANSIENT_PLAN, health=None):
     spec = SUITE["gray_pipeline"]
     entry, values = spec.default_args()
     tracer = Tracer()
-    compiled = compile_program(
-        spec.source,
-        filename="<gray_pipeline.lime>",
-        options=CompileOptions(tracer=tracer),
-    )
+    compiled = CompilerSession(
+        CompileOptions(tracer=tracer)
+    ).compile(spec.source, filename="<gray_pipeline.lime>")
     config = RuntimeConfig(
         scheduler=scheduler,
         tracer=tracer,

@@ -11,7 +11,7 @@ import threading
 import pytest
 
 from repro.apps import SUITE
-from repro.compiler import CompileOptions, compile_program
+from repro.compiler import CompileOptions, CompilerSession
 from repro.obs import (
     NULL_METRICS,
     Counters,
@@ -106,10 +106,9 @@ class TestCountersSharding:
         totals = {}
         for scheduler in ("sequential", "threaded"):
             tracer = Tracer()
-            compiled = compile_program(
-                SUITE["bitflip"].source,
-                options=CompileOptions(tracer=tracer),
-            )
+            compiled = CompilerSession(
+                CompileOptions(tracer=tracer)
+            ).compile(SUITE["bitflip"].source)
             entry, args = SUITE["bitflip"].default_args()
             Runtime(
                 compiled, RuntimeConfig(scheduler=scheduler, tracer=tracer)
@@ -261,9 +260,9 @@ class TestRuntimeInstrumentation:
     @pytest.fixture(scope="class")
     def traced(self):
         tracer = Tracer()
-        compiled = compile_program(
-            SUITE["bitflip"].source, options=CompileOptions(tracer=tracer)
-        )
+        compiled = CompilerSession(
+            CompileOptions(tracer=tracer)
+        ).compile(SUITE["bitflip"].source)
         entry, args = SUITE["bitflip"].default_args()
         outcome = Runtime(
             compiled, RuntimeConfig(scheduler="threaded", tracer=tracer)
@@ -312,7 +311,7 @@ class TestRuntimeInstrumentation:
             assert span.attributes["queue_wait_us"] >= 0.0
 
     def test_disabled_runtime_records_nothing(self):
-        compiled = compile_program(SUITE["bitflip"].source)
+        compiled = CompilerSession().compile(SUITE["bitflip"].source)
         entry, args = SUITE["bitflip"].default_args()
         Runtime(compiled, RuntimeConfig(scheduler="threaded")).run(
             entry, args

@@ -2,7 +2,7 @@
 
 Covers the null-tracer fast path, span nesting and attribute integrity
 across a threaded-scheduler run, Chrome trace-event export round-trips,
-the ``compile_program`` deprecation shim, ``RuntimeConfig`` validation
+the ``CompileOptions`` object, ``RuntimeConfig`` validation
 and ``with_overrides``, and the substitution-policy directives
 defensive copy.
 """
@@ -13,7 +13,7 @@ import pytest
 
 from tests.lime_sources import FIGURE1
 from repro.apps import SUITE
-from repro.compiler import CompileOptions, compile_program, compile_report
+from repro.compiler import CompileOptions, CompilerSession, compile_report
 from repro.errors import ConfigurationError, TraceExportError
 from repro.obs import (
     NULL_TRACER,
@@ -34,9 +34,9 @@ from repro.runtime import Runtime, RuntimeConfig, SubstitutionPolicy
 def traced_run(app="bitflip", scheduler="threaded"):
     """Compile and run one suite app with a shared tracer."""
     tracer = Tracer()
-    compiled = compile_program(
-        SUITE[app].source, options=CompileOptions(tracer=tracer)
-    )
+    compiled = CompilerSession(
+        CompileOptions(tracer=tracer)
+    ).compile(SUITE[app].source)
     entry, args = SUITE[app].default_args()
     outcome = Runtime(
         compiled, RuntimeConfig(scheduler=scheduler, tracer=tracer)
@@ -61,7 +61,7 @@ class TestNullTracer:
         assert not NULL_TRACER.enabled
 
     def test_default_compile_and_run_stay_silent(self):
-        compiled = compile_program(FIGURE1)
+        compiled = CompilerSession().compile(FIGURE1)
         assert compiled.tracer is NULL_TRACER
         entry, args = SUITE["bitflip"].default_args()
         outcome = Runtime(compiled).run(entry, args)
@@ -72,7 +72,7 @@ class TestNullTracer:
 class TestCompileSpans:
     def test_phase_spans_nest_under_compile(self):
         tracer = Tracer()
-        compile_program(FIGURE1, options=CompileOptions(tracer=tracer))
+        CompilerSession(CompileOptions(tracer=tracer)).compile(FIGURE1)
         (root,) = tracer.find("compile")
         names = {s.name for s in tracer.children_of(root)}
         assert {
@@ -85,9 +85,9 @@ class TestCompileSpans:
 
     def test_backend_spans_carry_kernel_children(self):
         tracer = Tracer()
-        compile_program(
-            SUITE["saxpy"].source, options=CompileOptions(tracer=tracer)
-        )
+        CompilerSession(
+            CompileOptions(tracer=tracer)
+        ).compile(SUITE["saxpy"].source)
         kernels = tracer.find("compile.backend.opencl.kernel")
         assert kernels
         assert all("kind" in s.attributes for s in kernels)
@@ -97,7 +97,9 @@ class TestCompileSpans:
 
     def test_compile_report_appends_span_tree(self):
         tracer = Tracer()
-        result = compile_program(FIGURE1, options=CompileOptions(tracer=tracer))
+        result = CompilerSession(
+            CompileOptions(tracer=tracer)
+        ).compile(FIGURE1)
         report = compile_report(result, trace=True)
         assert "compile.frontend" in report
         # Without trace= the report is unchanged.
@@ -330,12 +332,11 @@ class TestSpanToEventEdgeCases:
 
 class TestOptionsAPI:
     def test_options_object(self):
-        result = compile_program(
-            FIGURE1, options=CompileOptions(enable_gpu=False)
-        )
+        result = CompilerSession(
+            CompileOptions(enable_gpu=False)
+        ).compile(FIGURE1)
         assert result.gpu_backend is None
         assert result.compile_options.enable_gpu is False
-        assert result.options["enable_gpu"] is False  # legacy view
 
     def test_options_hashable_and_replace(self):
         base = CompileOptions()
@@ -343,31 +344,18 @@ class TestOptionsAPI:
         assert base != piped
         assert len({base, piped, CompileOptions()}) == 2
 
-    def test_legacy_kwargs_warn_and_work(self):
-        with pytest.warns(DeprecationWarning, match="enable_gpu"):
-            result = compile_program(FIGURE1, enable_gpu=False)
-        assert result.gpu_backend is None
-
-    def test_legacy_kwargs_fold_onto_options(self):
-        with pytest.warns(DeprecationWarning):
-            result = compile_program(
-                FIGURE1,
-                options=CompileOptions(fpga_pipelined=True),
-                enable_gpu=False,
-            )
-        assert result.gpu_backend is None
-        assert result.compile_options.fpga_pipelined is True
-
     def test_unknown_kwarg_rejected(self):
         with pytest.raises(TypeError, match="enable_quantum"):
-            compile_program(FIGURE1, enable_quantum=True)
+            CompileOptions(enable_quantum=True)
+        with pytest.raises(TypeError, match="enable_quantum"):
+            CompileOptions().replace(enable_quantum=True)
 
     def test_no_deprecation_from_options_path(self):
         import warnings
 
         with warnings.catch_warnings():
             warnings.simplefilter("error", DeprecationWarning)
-            compile_program(FIGURE1, options=CompileOptions())
+            CompilerSession(CompileOptions()).compile(FIGURE1)
 
 
 class TestRuntimeConfigValidation:
@@ -402,7 +390,7 @@ class TestPolicyIsolation:
         assert "t2" not in policy.directives
 
     def test_shared_policy_isolated_per_runtime(self):
-        compiled = compile_program(FIGURE1)
+        compiled = CompilerSession().compile(FIGURE1)
         policy = SubstitutionPolicy()
         rt_a = Runtime(compiled, RuntimeConfig(policy=policy))
         rt_b = Runtime(compiled, RuntimeConfig(policy=policy))

@@ -6,7 +6,7 @@ import pytest
 
 from tests.lime_sources import FIGURE1, SAXPY, USER_ENUM
 from repro.apps import SUITE
-from repro.compiler import compile_program
+from repro.compiler import CompilerSession
 from repro.lime import parse
 from repro.lime.printer import pretty
 from repro.runtime import Runtime
@@ -42,8 +42,8 @@ class TestReprintedProgramsBehave:
         from repro.values import KIND_BIT, ValueArray, parse_bit_literal
 
         reprinted = pretty(parse(FIGURE1))
-        original_rt = Runtime(compile_program(FIGURE1))
-        reprint_rt = Runtime(compile_program(reprinted))
+        original_rt = Runtime(CompilerSession().compile(FIGURE1))
+        reprint_rt = Runtime(CompilerSession().compile(reprinted))
         bits = ValueArray(KIND_BIT, parse_bit_literal("110010111"))
         assert original_rt.call(
             "Bitflip.taskFlip", [bits]
@@ -55,10 +55,10 @@ class TestReprintedProgramsBehave:
     def test_reprinted_apps_run_identically(self, name):
         entry, args = SUITE[name].default_args()
         reprinted = pretty(parse(SUITE[name].source))
-        original = Runtime(compile_program(SUITE[name].source)).call(
+        original = Runtime(CompilerSession().compile(SUITE[name].source)).call(
             entry, args
         )
-        again = Runtime(compile_program(reprinted)).call(entry, args)
+        again = Runtime(CompilerSession().compile(reprinted)).call(entry, args)
         if isinstance(original, float):
             assert again == pytest.approx(original)
         else:

@@ -11,7 +11,7 @@ import json
 import pytest
 
 from repro.apps import SUITE
-from repro.compiler import CompileOptions, compile_program
+from repro.compiler import CompileOptions, CompilerSession
 from repro.obs import (
     PROFILE_SCHEMA,
     Tracer,
@@ -28,9 +28,9 @@ from repro.runtime import Runtime, RuntimeConfig, SubstitutionPolicy
 
 def profiled_run(app="bitflip", scheduler="threaded", cpu_only=False):
     tracer = Tracer()
-    compiled = compile_program(
-        SUITE[app].source, options=CompileOptions(tracer=tracer)
-    )
+    compiled = CompilerSession(
+        CompileOptions(tracer=tracer)
+    ).compile(SUITE[app].source)
     entry, args = SUITE[app].default_args()
     config = RuntimeConfig(
         policy=SubstitutionPolicy(use_accelerators=not cpu_only),

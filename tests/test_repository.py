@@ -7,7 +7,7 @@ import pytest
 
 from tests.lime_sources import FIGURE1
 from repro.backends.repository import load_repository, save_repository
-from repro.compiler import compile_program
+from repro.compiler import CompilerSession
 from repro.errors import BackendError
 from repro.runtime import Runtime
 from repro.values import KIND_BIT, ValueArray, parse_bit_literal
@@ -15,7 +15,7 @@ from repro.values import KIND_BIT, ValueArray, parse_bit_literal
 
 class TestRoundTrip:
     def test_save_creates_index_and_files(self, tmp_path):
-        compiled = compile_program(FIGURE1)
+        compiled = CompilerSession().compile(FIGURE1)
         index_path = save_repository(compiled.store, str(tmp_path))
         assert os.path.exists(index_path)
         names = os.listdir(tmp_path)
@@ -24,7 +24,7 @@ class TestRoundTrip:
         assert any(n.endswith(".payload") for n in names)
 
     def test_reload_preserves_manifests(self, tmp_path):
-        compiled = compile_program(FIGURE1)
+        compiled = CompilerSession().compile(FIGURE1)
         save_repository(compiled.store, str(tmp_path))
         reloaded = load_repository(str(tmp_path))
         assert len(reloaded) == len(compiled.store)
@@ -41,14 +41,14 @@ class TestRoundTrip:
             }
         }
         """
-        compiled = compile_program(source)
+        compiled = CompilerSession().compile(source)
         save_repository(compiled.store, str(tmp_path))
         reloaded = load_repository(str(tmp_path))
         assert len(reloaded.exclusions) == len(compiled.store.exclusions)
         assert reloaded.exclusions[0].reason
 
     def test_reloaded_store_executes(self, tmp_path):
-        compiled = compile_program(FIGURE1)
+        compiled = CompilerSession().compile(FIGURE1)
         save_repository(compiled.store, str(tmp_path))
         compiled.store = load_repository(str(tmp_path))
         runtime = Runtime(compiled)
@@ -59,7 +59,7 @@ class TestRoundTrip:
         assert decisions  # substitution worked from reloaded artifacts
 
     def test_text_files_match(self, tmp_path):
-        compiled = compile_program(FIGURE1)
+        compiled = CompilerSession().compile(FIGURE1)
         save_repository(compiled.store, str(tmp_path))
         reloaded = load_repository(str(tmp_path))
         for artifact in compiled.store.all():

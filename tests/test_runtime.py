@@ -4,7 +4,7 @@ import pytest
 
 from tests.lime_sources import FIGURE1
 from repro.backends.common import BYTECODE, FPGA, GPU
-from repro.compiler import compile_program
+from repro.compiler import CompileOptions, CompilerSession
 from repro.runtime import Runtime, RuntimeConfig, SubstitutionPolicy
 from repro.values import KIND_BIT, ValueArray, parse_bit_literal
 
@@ -14,7 +14,9 @@ def bits(text):
 
 
 def make_runtime(source=FIGURE1, policy=None, scheduler="threaded", **compile_kwargs):
-    compiled = compile_program(source, **compile_kwargs)
+    compiled = CompilerSession(
+        CompileOptions(**compile_kwargs)
+    ).compile(source)
     config = RuntimeConfig(scheduler=scheduler)
     if policy is not None:
         config.policy = policy
@@ -57,7 +59,7 @@ class TestTaskFlipEndToEnd:
 
     def test_manual_direction_to_fpga(self):
         # "that choice can be manually directed" (Section 4.2).
-        compiled = compile_program(FIGURE1)
+        compiled = CompilerSession().compile(FIGURE1)
         flip_task_id = compiled.task_graphs[0].stages[1].task_id
         policy = SubstitutionPolicy(directives={flip_task_id: FPGA})
         runtime = Runtime(compiled, RuntimeConfig(policy=policy))
@@ -67,7 +69,7 @@ class TestTaskFlipEndToEnd:
         assert decisions[0].device == FPGA
 
     def test_manual_direction_to_bytecode(self):
-        compiled = compile_program(FIGURE1)
+        compiled = CompilerSession().compile(FIGURE1)
         flip_task_id = compiled.task_graphs[0].stages[1].task_id
         policy = SubstitutionPolicy(directives={flip_task_id: BYTECODE})
         runtime = Runtime(compiled, RuntimeConfig(policy=policy))

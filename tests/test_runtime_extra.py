@@ -3,13 +3,13 @@ start()/finish() semantics, multiple graphs, dynamic graphs."""
 
 import pytest
 
-from repro.compiler import compile_program
+from repro.compiler import CompilerSession
 from repro.runtime import Runtime, RuntimeConfig, SubstitutionPolicy
 from repro.values import KIND_BIT, KIND_INT, Bit, ValueArray
 
 
 def runtime_for(source, **config):
-    return Runtime(compile_program(source), RuntimeConfig(**config))
+    return Runtime(CompilerSession().compile(source), RuntimeConfig(**config))
 
 
 class TestChunkedSource:
@@ -41,7 +41,7 @@ class TestChunkedSource:
         assert list(result) == [2, 3, 1]
 
     def test_gpu_excludes_chunked_filter_without_crashing(self):
-        compiled = compile_program(self.SOURCE)
+        compiled = CompilerSession().compile(self.SOURCE)
         # The task consumes bit[[]] chunks: no GPU filter artifact, but
         # an exclusion explaining why.
         gpu_filters = [
@@ -89,7 +89,7 @@ class TestMultiInputFilter:
             runtime.call("Pairs.pairSums", [xs])
 
     def test_backends_exclude_multi_input(self):
-        compiled = compile_program(self.SOURCE)
+        compiled = CompilerSession().compile(self.SOURCE)
         reasons = {
             e.device for e in compiled.store.exclusions
         }
@@ -158,7 +158,7 @@ class TestMultipleGraphs:
         assert len(outcome.ledger.graph_runs) == 2
 
     def test_distinct_graph_ids(self):
-        compiled = compile_program(self.SOURCE)
+        compiled = CompilerSession().compile(self.SOURCE)
         ids = [g.graph_id for g in compiled.task_graphs]
         assert len(set(ids)) == 2
 
@@ -189,7 +189,7 @@ class TestDynamicGraph:
         assert list(runtime.call("Dyn.maybe", [xs, False])) == [1, -2, 3]
 
     def test_dynamic_graph_has_no_static_ids(self):
-        compiled = compile_program(self.SOURCE)
+        compiled = CompilerSession().compile(self.SOURCE)
         assert compiled.task_graphs == []
 
 

@@ -4,7 +4,7 @@ Sobel reference check."""
 import pytest
 
 from repro.apps import SUITE, compile_app
-from repro.compiler import compile_program
+from repro.compiler import CompilerSession
 from repro.errors import DeviceError, LiquidMetalError
 from repro.runtime import Runtime, RuntimeConfig
 from repro.values import KIND_INT, ValueArray
@@ -25,7 +25,8 @@ class TestErrorPropagation:
 
     def test_filter_exception_surfaces_threaded(self):
         runtime = Runtime(
-            compile_program(self.FAULTY), RuntimeConfig(scheduler="threaded")
+            CompilerSession().compile(self.FAULTY),
+            RuntimeConfig(scheduler="threaded"),
         )
         xs = ValueArray(KIND_INT, [1, 0, 5])  # division by zero mid-stream
         with pytest.raises(LiquidMetalError):
@@ -33,7 +34,7 @@ class TestErrorPropagation:
 
     def test_filter_exception_surfaces_sequential(self):
         runtime = Runtime(
-            compile_program(self.FAULTY),
+            CompilerSession().compile(self.FAULTY),
             RuntimeConfig(scheduler="sequential"),
         )
         xs = ValueArray(KIND_INT, [1, 0, 5])
@@ -41,7 +42,7 @@ class TestErrorPropagation:
             runtime.call("F.run", [xs])
 
     def test_runtime_survives_after_error(self):
-        runtime = Runtime(compile_program(self.FAULTY))
+        runtime = Runtime(CompilerSession().compile(self.FAULTY))
         bad = ValueArray(KIND_INT, [0])
         good = ValueArray(KIND_INT, [4, 5])
         with pytest.raises(LiquidMetalError):
@@ -60,7 +61,7 @@ class TestErrorPropagation:
         """
         from repro.values import MutableArray
 
-        runtime = Runtime(compile_program(source))
+        runtime = Runtime(CompilerSession().compile(source))
         xs = ValueArray(KIND_INT, [1, 2, 3])
         out = MutableArray.allocate(KIND_INT, 2)  # too small
         with pytest.raises(LiquidMetalError):
@@ -75,7 +76,8 @@ class TestFailureContext:
 
     def test_threaded_error_names_failing_stage(self):
         runtime = Runtime(
-            compile_program(self.FAULTY), RuntimeConfig(scheduler="threaded")
+            CompilerSession().compile(self.FAULTY),
+            RuntimeConfig(scheduler="threaded"),
         )
         xs = ValueArray(KIND_INT, [1, 0, 5])
         with pytest.raises(LiquidMetalError) as err:
@@ -86,7 +88,7 @@ class TestFailureContext:
 
     def test_sequential_error_names_failing_stage(self):
         runtime = Runtime(
-            compile_program(self.FAULTY),
+            CompilerSession().compile(self.FAULTY),
             RuntimeConfig(scheduler="sequential"),
         )
         xs = ValueArray(KIND_INT, [1, 0, 5])

@@ -1,25 +1,17 @@
 """CompilerSession: the cache-aware toolchain entry point.
 
-Pins the api_redesign contract: sessions compile identically to the
-legacy ``compile_program`` shim, warm starts skip backend codegen
+Pins the api_redesign contract: warm starts skip backend codegen
 entirely (no ``compile.backend.*`` spans), ``read`` mode consumes a
 harvested cache without writing back, provenance is stamped on the
 store and surfaced by both schedulers' stage spans, and ``harvest``
 produces a verified ``repro.harvest/1`` report.
 """
 
-import warnings
-
 import pytest
 
 from repro.apps import SUITE
 from repro.backends.artifacts import ArtifactCache, CacheOptions
-from repro.compiler import (
-    CompileOptions,
-    CompilerSession,
-    compile_program,
-    compile_report,
-)
+from repro.compiler import CompileOptions, CompilerSession, compile_report
 from repro.errors import ConfigurationError
 from repro.obs import Tracer
 
@@ -36,17 +28,16 @@ def _rw_options(tmp_path, **cache_overrides):
 
 
 class TestSessionBasics:
-    def test_uncached_session_matches_compile_program(self):
-        via_session = CompilerSession().compile(BITFLIP)
-        via_shim = compile_program(BITFLIP)
-        assert via_session.store.provenance == "cold"
-        assert len(via_session.store) == len(via_shim.store)
-        assert [a.artifact_id for a in via_session.store.all()] == [
-            a.artifact_id for a in via_shim.store.all()
+    def test_uncached_sessions_compile_identically(self):
+        first = CompilerSession().compile(BITFLIP)
+        second = CompilerSession().compile(BITFLIP)
+        assert first.store.provenance == "cold"
+        assert [a.artifact_id for a in first.store.all()] == [
+            a.artifact_id for a in second.store.all()
         ]
         assert (
-            via_session.bytecode_program.disassemble()
-            == via_shim.bytecode_program.disassemble()
+            first.bytecode_program.disassemble()
+            == second.bytecode_program.disassemble()
         )
 
     def test_default_session_has_no_cache(self):
@@ -64,15 +55,6 @@ class TestSessionBasics:
             session.cache_stats()
         with pytest.raises(ConfigurationError, match="no artifact cache"):
             session.harvest()
-
-    def test_shim_options_path_is_silent(self):
-        with warnings.catch_warnings():
-            warnings.simplefilter("error", DeprecationWarning)
-            compile_program(BITFLIP, options=CompileOptions())
-
-    def test_shim_legacy_kwargs_warn(self):
-        with pytest.warns(DeprecationWarning):
-            compile_program(BITFLIP, enable_fpga=False)
 
 
 class TestWarmStart:

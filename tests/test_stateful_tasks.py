@@ -12,7 +12,6 @@ import itertools
 import pytest
 
 from repro.apps import SUITE, compile_app
-from repro.compiler import compile_program
 from repro.errors import IsolationError, LimeTypeError
 from repro.lime import analyze
 from repro.runtime import Runtime, RuntimeConfig

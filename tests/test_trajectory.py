@@ -1,7 +1,7 @@
 """The performance trajectory tracker (docs/TRAJECTORY.md).
 
-Covers the ``repro.bench/1`` envelope, legacy-report flattening,
-snapshot collection/storage/validation, the direction-aware diff
+Covers the ``repro.bench/1`` envelope, snapshot collection (refusing
+broken reports)/storage/validation, the direction-aware diff
 classifier (improvement vs regression vs within-threshold, higher- vs
 lower-is-better, added/removed metrics), the trend report, and the CI
 gate — including the acceptance-criteria case: a synthetic snapshot
@@ -29,7 +29,6 @@ from repro.obs.trajectory import (
     changelog_entries,
     collect_snapshot,
     diff_snapshots,
-    flatten_legacy_metrics,
     gate_snapshots,
     git_metadata,
     render_diff,
@@ -78,7 +77,6 @@ def make_snapshot(
         "benches": {
             "demo": {
                 "source": "BENCH_demo.json",
-                "envelope": True,
                 "metrics": metrics if metrics is not None else {},
             }
         },
@@ -112,15 +110,13 @@ class TestBenchEnvelope:
         with pytest.raises(ValueError):
             bench_metric(1.0, kind="guessed")
 
-    def test_envelope_shape_and_legacy_merge(self):
+    def test_envelope_shape(self):
         payload = bench_envelope(
-            "demo",
-            {"x.speedup": bench_metric(3.0, unit="x")},
-            legacy={"apps": {"a": 1}},
+            "demo", {"x.speedup": bench_metric(3.0, unit="x")}
         )
+        assert set(payload) == {"schema", "bench", "git", "metrics"}
         assert payload["schema"] == BENCH_SCHEMA
         assert payload["bench"] == "demo"
-        assert payload["apps"] == {"a": 1}  # legacy keys survive
         assert "sha" in payload["git"]
         assert validate_bench(payload) == []
 
@@ -137,50 +133,62 @@ class TestBenchEnvelope:
         assert meta["dirty"] is False
 
 
-class TestLegacyFlattening:
-    def test_direction_inference(self):
-        flat = flatten_legacy_metrics(
-            {
-                "stream": {
-                    "per_element_s": 0.5,
-                    "throughput_improvement_at_64": 9.0,
-                    "items": 1000,
-                },
-                "crossings": 4,
-                "cold_wall_s": 1.25,
-            }
-        )
-        assert flat["stream.per_element_s"]["direction"] == "lower"
-        direction = flat["stream.throughput_improvement_at_64"]["direction"]
-        assert direction == "higher"
-        assert flat["crossings"]["direction"] == "lower"
-        assert flat["cold_wall_s"]["kind"] == "wall"
-        # "items" is unclassifiable: skipped, never gates.
-        assert "stream.items" not in flat
-
-
 class TestCollectAndStore:
     def _write_bench(self, path, payload):
         with open(path, "w") as fh:
             json.dump(payload, fh)
 
-    def test_collect_aggregates_envelope_and_legacy(self, tmp_path):
+    def test_collect_aggregates_envelopes(self, tmp_path):
         self._write_bench(
             tmp_path / "BENCH_new.json",
             bench_envelope("new", {"m.speedup": bench_metric(2.0)}),
         )
         self._write_bench(
-            tmp_path / "BENCH_old.json", {"total_s": 1.5, "items": 3}
+            tmp_path / "BENCH_other.json",
+            bench_envelope(
+                "other", {"t_s": bench_metric(1.5, direction="lower")}
+            ),
         )
         snapshot = collect_snapshot(str(tmp_path), run_profiles=False)
         assert validate_trajectory(snapshot) == []
-        assert snapshot["benches"]["new"]["envelope"] is True
-        assert snapshot["benches"]["old"]["envelope"] is False
-        assert "total_s" in snapshot["benches"]["old"]["metrics"]
+        assert snapshot["benches"]["new"] == {
+            "source": "BENCH_new.json",
+            "metrics": {"m.speedup": bench_metric(2.0)},
+        }
+        assert snapshot["benches"]["other"]["metrics"]["t_s"]["value"] == 1.5
         config = snapshot["config"]
         assert config["store_provenance"] in ("cold", "warm", "mixed")
         assert config["fusion"] and config["specialize"]
         assert "pythonhashseed" in config["seed_state"]
+
+    def test_collect_rejects_truncated_report(self, tmp_path):
+        self._write_bench(
+            tmp_path / "BENCH_good.json",
+            bench_envelope("good", {"m.speedup": bench_metric(2.0)}),
+        )
+        text = json.dumps(
+            bench_envelope("cut", {"m.speedup": bench_metric(2.0)})
+        )
+        (tmp_path / "BENCH_cut.json").write_text(text[: len(text) // 2])
+        with pytest.raises(ValueError) as info:
+            collect_snapshot(str(tmp_path), run_profiles=False)
+        message = str(info.value)
+        assert "BENCH_cut.json" in message
+        assert "BENCH_good.json" not in message
+
+    def test_collect_rejects_non_envelope_report(self, tmp_path):
+        self._write_bench(
+            tmp_path / "BENCH_old.json", {"total_s": 1.5, "items": 3}
+        )
+        self._write_bench(tmp_path / "BENCH_list.json", [1, 2])
+        with pytest.raises(ValueError) as info:
+            collect_snapshot(str(tmp_path), run_profiles=False)
+        message = str(info.value)
+        # Every problem of every broken file is listed, by file.
+        assert "BENCH_old.json: schema must be" in message
+        assert "BENCH_old.json: bench must be" in message
+        assert "BENCH_old.json: metrics must be an object" in message
+        assert "BENCH_list.json: payload must be a JSON object" in message
 
     def test_collect_refuses_empty_dir(self, tmp_path):
         with pytest.raises(FileNotFoundError):
@@ -385,6 +393,21 @@ class TestGateCli:
         )
         assert rc == 1
         assert "FAILED" in capsys.readouterr().err
+
+    def test_collect_fails_naming_a_truncated_report(self, tmp_path, capsys):
+        (tmp_path / "BENCH_marshal.json").write_text('{"schema": "repro.')
+        out = tmp_path / "snap.json"
+        rc = self._main(
+            [
+                "bench", "collect",
+                "--bench-dir", str(tmp_path),
+                "--no-profiles",
+                "-o", str(out),
+            ]
+        )
+        assert rc == 1
+        assert "BENCH_marshal.json" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_skips_gracefully_below_two_entries(self, tmp_path, capsys):
         changelog = tmp_path / "changelogs"

@@ -15,7 +15,7 @@ from repro.backends.bytecode import translate
 from repro.backends.bytecode.translate import RUNNER
 from repro.backends.bytecode.ops import wrap_int
 from repro.backends.verilog.codegen import lower_datapath
-from repro.compiler import compile_program
+from repro.compiler import CompilerSession
 from repro.errors import BackendError
 from repro.ir import nodes as ir
 from repro.lime import types as ty
@@ -47,7 +47,9 @@ public class Twice {
 
 
 def fresh(name):
-    return compile_program(SUITE[name].source, filename=f"<{name}.lime>")
+    return CompilerSession().compile(
+        SUITE[name].source, filename=f"<{name}.lime>"
+    )
 
 
 @pytest.fixture
@@ -134,7 +136,7 @@ class TestConcurrentFirstCalls:
         # More threads than cores and a short switch interval, so first
         # calls overlap; a lost publish would translate a function twice.
         workers = 8
-        program = compile_program(SHARED_HELPER).bytecode_program
+        program = CompilerSession().compile(SHARED_HELPER).bytecode_program
         barrier = threading.Barrier(workers, timeout=30)
         results = [None] * workers
 
@@ -159,7 +161,9 @@ class TestConcurrentFirstCalls:
             sys.setswitchinterval(interval)
         assert not any(thread.is_alive() for thread in threads)
         assert translations == {"Twice.first": 1, "Twice.mix": 1}
-        reference = Interpreter(compile_program(SHARED_HELPER).bytecode_program)
+        reference = Interpreter(
+            CompilerSession().compile(SHARED_HELPER).bytecode_program
+        )
         for slot, result in enumerate(results):
             before = reference.cycles
             value = reference.call("Twice.first", [slot])
@@ -169,7 +173,7 @@ class TestConcurrentFirstCalls:
         data = workloads.int_array(64, -1000, 1000, seed=3)
 
         def run(scheduler):
-            compiled = compile_program(SHARED_HELPER)
+            compiled = CompilerSession().compile(SHARED_HELPER)
             runtime = Runtime(compiled, RuntimeConfig(
                 policy=BYTECODE, scheduler=scheduler, fusion="off",
             ))
